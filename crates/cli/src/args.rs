@@ -27,6 +27,20 @@ pub fn flag_parsed<T: std::str::FromStr>(
     }
 }
 
+/// Extracts `--refs N`, falling back to `default`. Every subcommand that
+/// simulates a trace reads its length through here.
+///
+/// # Errors
+///
+/// Returns a one-line error when the value is unparsable or 0: an empty
+/// trace has no baseline to normalize against.
+pub fn refs_flag(args: &[String], default: u64) -> Result<u64, String> {
+    match flag_parsed(args, "--refs", default)? {
+        0 => Err("invalid value '0' for --refs: must be at least 1".to_owned()),
+        n => Ok(n),
+    }
+}
+
 /// First positional (non-flag) argument.
 pub fn positional(args: &[String]) -> Option<&str> {
     let mut skip = false;

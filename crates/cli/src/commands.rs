@@ -27,7 +27,7 @@ use primecache_trace::{read_trace, write_trace, EncodedTrace, TraceStats, FRAME_
 use primecache_workloads::profile::profile_of;
 use primecache_workloads::{all, by_name, MixConfig, TenantMix};
 
-use crate::args::{flag_parsed, flag_value, positional};
+use crate::args::{flag_parsed, flag_value, positional, refs_flag};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -85,6 +85,11 @@ USAGE:
 SCHEMES: Base, 8-way, XOR, pMod, pDisp, SKW, skw+pDisp, FA,
          or a DSL expression: expr:'a % 2039' (see DESIGN.md for the grammar;
          the scheme is statically certified before any simulation runs)
+
+REFS:    --refs N (N >= 1) is the trace length in memory references per
+         workload. Generators stop at the first loop boundary at or after
+         N references, so a run can simulate a few more than N
+         (`pcache run swim --refs 1` simulates 4).
 ";
 
 fn parse_scheme(label: &str) -> Result<Scheme, String> {
@@ -177,7 +182,7 @@ pub fn run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let refs = match flag_parsed(args, "--refs", 200_000u64) {
+    let refs = match refs_flag(args, 200_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -221,7 +226,7 @@ pub fn run(args: &[String]) -> i32 {
 
 /// `pcache classify [--refs N]`
 pub fn classify(args: &[String]) -> i32 {
-    let refs = match flag_parsed(args, "--refs", 200_000u64) {
+    let refs = match refs_flag(args, 200_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -266,7 +271,7 @@ pub fn sweep(args: &[String]) -> i32 {
     if flag_value(args, "--tenants").is_some() {
         return sweep_tenants(args);
     }
-    let refs = match flag_parsed(args, "--refs", 100_000u64) {
+    let refs = match refs_flag(args, 100_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -315,7 +320,7 @@ fn sweep_tenants(args: &[String]) -> i32 {
     let spec = flag_value(args, "--tenants").expect("caller checked the flag");
     let defaults = MixConfig::default();
     let (refs, quantum, seed) = match (
-        flag_parsed(args, "--refs", 50_000u64),
+        refs_flag(args, 50_000u64),
         flag_parsed(args, "--quantum", defaults.quantum_instructions),
         flag_parsed(args, "--seed", defaults.seed),
     ) {
@@ -425,7 +430,7 @@ fn sweep_tenants(args: &[String]) -> i32 {
 /// with `--strict` (CI) it fails the run, so new schemes cannot slip
 /// past the perf floor unbaselined.
 pub fn bench(args: &[String]) -> i32 {
-    let refs = match flag_parsed(args, "--refs", 50_000u64) {
+    let refs = match refs_flag(args, 50_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -596,7 +601,7 @@ pub fn metrics(args: &[String]) -> i32 {
 
 /// `pcache taxonomy [--refs N]`
 pub fn taxonomy(args: &[String]) -> i32 {
-    let refs = match flag_parsed(args, "--refs", 150_000u64) {
+    let refs = match refs_flag(args, 150_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -809,7 +814,7 @@ fn analyze_expr(src: &str, args: &[String]) -> i32 {
 /// `pcache analyze --self-check [--refs N]`: the full static-vs-concrete
 /// cross-validation battery, then the 23-workload distribution check.
 fn analyze_self_check(args: &[String]) -> i32 {
-    let refs = match flag_parsed(args, "--refs", 60_000u64) {
+    let refs = match refs_flag(args, 60_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -993,7 +998,7 @@ fn metrics_app(app: &str, args: &[String]) -> i32 {
         eprintln!("unknown workload '{app}' (try `pcache list`)");
         return 2;
     };
-    let refs = match flag_parsed(args, "--refs", 100_000u64) {
+    let refs = match refs_flag(args, 100_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -1064,7 +1069,7 @@ pub fn report(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let refs = match flag_parsed(args, "--refs", 200_000u64) {
+    let refs = match refs_flag(args, 200_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -1187,7 +1192,7 @@ fn trace_events_run(args: &[String]) -> i32 {
         }
     };
     let (refs, sample, ring) = match (
-        flag_parsed(args, "--refs", 50_000u64),
+        refs_flag(args, 50_000u64),
         flag_parsed(args, "--sample", 1u64),
         flag_parsed(args, "--ring", 1usize << 20),
     ) {
@@ -1230,7 +1235,7 @@ fn trace_events_run(_args: &[String]) -> i32 {
 /// cell, recording worker assignment and wall-clock placement.
 fn trace_events_sweep(args: &[String]) -> i32 {
     use primecache_obs::{EventKind, ObsEvent};
-    let refs = match flag_parsed(args, "--refs", 20_000u64) {
+    let refs = match refs_flag(args, 20_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -1276,7 +1281,7 @@ pub fn trace(args: &[String]) -> i32 {
         eprintln!("--out FILE is required");
         return 2;
     };
-    let refs = match flag_parsed(args, "--refs", 100_000u64) {
+    let refs = match refs_flag(args, 100_000u64) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("{e}");
@@ -1324,7 +1329,7 @@ pub fn trace(args: &[String]) -> i32 {
 /// recorded PCTE form, and prints provenance: source shape, event and
 /// reference counts, address range, encoded size, and the frame
 /// fingerprint. `--out` writes the conversion; `--run` simulates the
-/// imported trace through the standard batched driver.
+/// imported trace through the standard driver.
 pub fn import(args: &[String]) -> i32 {
     let Some(path) = positional(args) else {
         eprintln!("usage: pcache import FILE [--out FILE] [--run] [--scheme S]");

@@ -25,6 +25,29 @@ fn run_validates_inputs() {
 }
 
 #[test]
+fn zero_refs_is_a_usage_error_in_every_subcommand() {
+    // An empty trace has no Base baseline to normalize against; every
+    // subcommand must refuse it up front instead of panicking mid-run.
+    let zero = |rest: &[&str]| {
+        let mut v = args(rest);
+        v.extend(args(&["--refs", "0"]));
+        v
+    };
+    assert_eq!(commands::sweep(&zero(&[])), 2);
+    assert_eq!(commands::sweep(&zero(&["--tenants", "tree,mcf"])), 2);
+    assert_eq!(commands::run(&zero(&["swim"])), 2);
+    assert_eq!(commands::classify(&zero(&[])), 2);
+    assert_eq!(commands::taxonomy(&zero(&[])), 2);
+    assert_eq!(commands::bench(&zero(&[])), 2);
+    assert_eq!(commands::metrics(&zero(&["--app", "tree"])), 2);
+    assert_eq!(commands::analyze(&zero(&["--self-check"])), 2);
+    assert_eq!(commands::report(&zero(&["tree"])), 2);
+    assert_eq!(commands::trace_events(&zero(&["tree"])), 2);
+    assert_eq!(commands::trace_events(&zero(&["--sweep"])), 2);
+    assert_eq!(commands::trace(&zero(&["swim", "--out", "unused.pct"])), 2);
+}
+
+#[test]
 fn metrics_validates_inputs() {
     assert_eq!(commands::metrics(&args(&["--stride", "0"])), 2);
     assert_eq!(

@@ -2,7 +2,7 @@
 //!
 //! Configuration types ([`HashKind`](crate::index::HashKind), the sim's
 //! `Scheme`) are `Copy` and travel through sweep tables, report
-//! fingerprints, and batched drivers by value. A user expression is a
+//! fingerprints, and the monomorphized driver by value. A user expression is a
 //! tree, so it cannot live inside those types directly; instead every
 //! registered expression is interned once (leaked to `'static`) and
 //! referenced by a copyable [`ExprId`]. The id's `Debug` form embeds the
@@ -104,8 +104,8 @@ impl ExprId {
     }
 
     /// The compiled hot-path indexer. `Copy` (it borrows the interned
-    /// definition), so the monomorphized batched drivers can take it by
-    /// value like the built-in indexers.
+    /// definition), so the monomorphized driver can take it by value
+    /// like the built-in indexers.
     #[must_use]
     pub fn indexer(self) -> ExprIndexer {
         ExprIndexer { def: self.def() }

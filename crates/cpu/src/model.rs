@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use primecache_cache::{AccessOutcome, Hierarchy, L2Sim, NO_HINT};
+use primecache_cache::{AccessOutcome, Hierarchy, L2Sim};
 use primecache_core::index::SetIndexer;
 use primecache_mem::Dram;
 use primecache_trace::Event;
@@ -237,24 +237,6 @@ impl Cpu {
         X: L2Sim,
         J: SetIndexer,
     {
-        self.run_hinted(trace.into_iter().map(|ev| (ev, NO_HINT)), hierarchy, dram)
-    }
-
-    /// [`Cpu::run`] over `(event, l2_set_hint)` pairs: batched drivers
-    /// precompute L2 set indexes a chunk at a time and feed them through
-    /// here ([`NO_HINT`] on non-memory events). Bit-identical to
-    /// [`Cpu::run`] over the same events.
-    pub fn run_hinted<T, X, J>(
-        &mut self,
-        trace: T,
-        hierarchy: &mut Hierarchy<X, J>,
-        dram: &mut Dram,
-    ) -> ExecBreakdown
-    where
-        T: IntoIterator<Item = (Event, u32)>,
-        X: L2Sim,
-        J: SetIndexer,
-    {
         let cfg = self.config;
         let line = match hierarchy.config().l2 {
             primecache_cache::L2Organization::SetAssoc(c) => c.line_bytes(),
@@ -262,7 +244,7 @@ impl Cpu {
             primecache_cache::L2Organization::FullyAssociative { line_bytes, .. } => line_bytes,
         };
         let mut st = RunState::new();
-        for (ev, hint) in trace {
+        for ev in trace {
             st.retire_completed();
             st.enforce_rob(cfg.rob_size);
             match ev {
@@ -297,7 +279,7 @@ impl Cpu {
                 }
                 Event::Load { addr, dep } => {
                     st.issue(1, IssueClass::Mem, &cfg);
-                    let completion = self.service(addr, false, hint, &mut st, hierarchy, dram);
+                    let completion = self.service(addr, false, &mut st, hierarchy, dram);
                     match completion {
                         None => {} // L1 hit: fully pipelined
                         // Serializing load: expose the full latency.
@@ -320,7 +302,7 @@ impl Cpu {
                 }
                 Event::Store { addr } => {
                     st.issue(1, IssueClass::Mem, &cfg);
-                    if let Some(t) = self.service(addr, true, hint, &mut st, hierarchy, dram) {
+                    if let Some(t) = self.service(addr, true, &mut st, hierarchy, dram) {
                         if st.pending_stores.len() >= cfg.max_pending_stores {
                             if let Some(Reverse(done)) = st.pending_stores.pop() {
                                 if done > st.now {
@@ -369,7 +351,6 @@ impl Cpu {
         &self,
         addr: u64,
         write: bool,
-        hint: u32,
         st: &mut RunState,
         hierarchy: &mut Hierarchy<X, J>,
         dram: &mut Dram,
@@ -378,7 +359,7 @@ impl Cpu {
         if let Some(h) = &self.obs {
             h.borrow_mut().set_now(st.now);
         }
-        match hierarchy.access_hinted(addr, write, hint) {
+        match hierarchy.access(addr, write) {
             AccessOutcome::L1Hit => None,
             AccessOutcome::L2Hit => Some(st.now + self.config.l2_hit_cycles),
             AccessOutcome::Memory => {

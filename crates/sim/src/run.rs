@@ -1,26 +1,26 @@
 //! Single-run driver.
 //!
-//! The public entry points ([`run_trace`], [`run_workload`],
-//! [`run_workload_warm`]) dispatch **once** per run on the scheme's L2
-//! organization and hash kind, then hand the whole trace to a driver
-//! monomorphized over the concrete cache and index-function types — no
-//! per-reference `dyn` dispatch on the hot path. The streamed drivers
-//! additionally precompute L2 set indexes a chunk at a time
-//! ([`primecache_workloads::EventStream::next_chunk`]) and pass them to
-//! the hierarchy as hints.
+//! Every public entry point ([`run_trace`], [`run_workload`],
+//! [`run_replay`], [`run_chunks`], [`run_workload_warm`], ...) hands its
+//! event source to one driver. The driver dispatches **once** per run on
+//! the scheme's L2 organization and hash kind, then simulates the source
+//! event by event through a [`Hierarchy`] monomorphized over the concrete
+//! L2 cache and index-function types — no per-reference `dyn` dispatch
+//! on the hot path. Sources that decode or receive a chunk at a time
+//! (replay cursors, generator streams, tenant mixes) do so inside their
+//! own `next`.
 //!
-//! All drivers are bit-identical to the dynamically-dispatched
-//! reference path, kept as [`run_trace_reference`]; the
-//! `batched_equivalence` integration test proves it per workload and
-//! scheme (stats, writeback order, fingerprints).
+//! The driver is bit-identical to the dynamically-dispatched reference
+//! path, kept as [`run_trace_reference`]; the `batched_equivalence`
+//! integration test proves it per workload and scheme (stats, writeback
+//! order, fingerprints).
 
 use primecache_cache::{
     bank_disp_factor, Cache, CacheStats, FullyAssociative, Hierarchy, HierarchyConfig,
-    L2Organization, L2Sim, SkewHashKind, SkewedCache, NO_HINT,
+    L2Organization, L2Sim, SkewHashKind, SkewedCache,
 };
 use primecache_core::index::{
-    Geometry, HashKind, PrimeDisplacement, PrimeModulo, SetIndexer, SkewDispBank, SkewXorBank,
-    Traditional, Xor,
+    Geometry, HashKind, PrimeDisplacement, PrimeModulo, SkewDispBank, SkewXorBank, Traditional, Xor,
 };
 use primecache_cpu::{Cpu, ExecBreakdown};
 use primecache_mem::{Dram, DramStats};
@@ -53,98 +53,14 @@ impl RunResult {
     }
 }
 
-/// Per-scheme L2 set-index precomputation for the batched drivers.
-///
-/// The hinter owns a copy of the *same* index function the L2 cache was
-/// built with, so a hint is exactly the value the cache would compute
-/// (debug builds assert this inside the cache).
-trait L2Hint {
-    /// The L2 set index of a block address, or [`NO_HINT`] when the
-    /// organization has no single per-access set (skewed, FA).
-    fn l2_hint(&self, block: u64) -> u32;
-}
-
-/// No precomputation: skewed and fully-associative L2s probe all their
-/// candidate locations anyway.
-struct NoHint;
-
-impl L2Hint for NoHint {
-    #[inline]
-    fn l2_hint(&self, _block: u64) -> u32 {
-        NO_HINT
-    }
-}
-
-/// Precomputes set indexes with a concrete index function (the
-/// set-associative schemes).
-struct IndexHint<I: SetIndexer>(I);
-
-impl<I: SetIndexer> L2Hint for IndexHint<I> {
-    #[inline]
-    #[allow(clippy::cast_possible_truncation)]
-    fn l2_hint(&self, block: u64) -> u32 {
-        // Lossless: cache constructors reject >= 2^32-set configurations,
-        // and this is a copy of the cache's own index function.
-        let set = self.0.index(block);
-        debug_assert!(set < u64::from(NO_HINT), "set {set} out of hint range");
-        set as u32
-    }
-}
-
-/// `(event, L2 set hint)` pairs pulled chunk-at-a-time from any
-/// [`EventChunks`] source — a live `EventStream` or a recorded
-/// [`ReplayCursor`]: each chunk's set indexes are computed in one batch
-/// pass before any event is simulated.
-struct HintedChunks<S: EventChunks, H: L2Hint> {
-    stream: S,
-    hinter: H,
-    l2_line_shift: u32,
-    buf: std::vec::IntoIter<(Event, u32)>,
-}
-
-impl<S: EventChunks, H: L2Hint> HintedChunks<S, H> {
-    fn new(stream: S, hinter: H, l2_line_bytes: u64) -> Self {
-        Self {
-            stream,
-            hinter,
-            l2_line_shift: l2_line_bytes.trailing_zeros(),
-            buf: Vec::new().into_iter(),
-        }
-    }
-}
-
-impl<S: EventChunks, H: L2Hint> Iterator for HintedChunks<S, H> {
-    type Item = (Event, u32);
-
-    fn next(&mut self) -> Option<(Event, u32)> {
-        loop {
-            if let Some(pair) = self.buf.next() {
-                return Some(pair);
-            }
-            let chunk = self.stream.pull_chunk()?;
-            let shift = self.l2_line_shift;
-            let hinted: Vec<(Event, u32)> = chunk
-                .into_iter()
-                .map(|ev| {
-                    let hint = ev
-                        .addr()
-                        .map_or(NO_HINT, |a| self.hinter.l2_hint(a >> shift));
-                    (ev, hint)
-                })
-                .collect();
-            self.buf = hinted.into_iter();
-        }
-    }
-}
-
 /// One monomorphized run request; [`dispatch`] resolves the scheme's L2
-/// and hinter types once and calls [`DriverOp::exec`] with them.
+/// type once and calls [`DriverOp::exec`] with it.
 trait DriverOp {
-    fn exec<X: L2Sim, H: L2Hint>(self, hcfg: HierarchyConfig, l2: X, hinter: H) -> RunResult;
+    fn exec<X: L2Sim>(self, hcfg: HierarchyConfig, l2: X) -> RunResult;
 }
 
-/// Resolves `scheme` to concrete L2 cache + hinter types and runs `op`
-/// monomorphized over them. This is the once-per-run dispatch that
+/// Resolves `scheme` to a concrete L2 cache type and runs `op`
+/// monomorphized over it. This is the once-per-run dispatch that
 /// replaces per-reference `Box<dyn SetIndexer>` calls.
 fn dispatch<Op: DriverOp>(machine: &MachineConfig, scheme: Scheme, op: Op) -> RunResult {
     let hcfg = machine.hierarchy_config(scheme);
@@ -153,222 +69,113 @@ fn dispatch<Op: DriverOp>(machine: &MachineConfig, scheme: Scheme, op: Op) -> Ru
             let geom = Geometry::new(cfg.n_set_phys());
             match cfg.hash() {
                 HashKind::Traditional => {
-                    let ix = Traditional::new(geom);
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
+                    op.exec(hcfg, Cache::with_typed(cfg, Traditional::new(geom)))
                 }
-                HashKind::Xor => {
-                    let ix = Xor::new(geom);
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
-                }
+                HashKind::Xor => op.exec(hcfg, Cache::with_typed(cfg, Xor::new(geom))),
                 HashKind::PrimeModulo => {
-                    let ix = PrimeModulo::new(geom);
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
+                    op.exec(hcfg, Cache::with_typed(cfg, PrimeModulo::new(geom)))
                 }
-                HashKind::PrimeDisplacement => {
-                    let ix = PrimeDisplacement::paper_default(geom);
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
-                }
-                HashKind::Expr(id) => {
-                    let ix = id.indexer();
-                    op.exec(hcfg, Cache::with_typed(cfg, ix), IndexHint(ix))
-                }
+                HashKind::PrimeDisplacement => op.exec(
+                    hcfg,
+                    Cache::with_typed(cfg, PrimeDisplacement::paper_default(geom)),
+                ),
+                HashKind::Expr(id) => op.exec(hcfg, Cache::with_typed(cfg, id.indexer())),
             }
         }
         L2Organization::Skewed(cfg) => match cfg.hash() {
             SkewHashKind::Xor => op.exec(
                 hcfg,
                 SkewedCache::with_banks(cfg, |b, g| SkewXorBank::new(g, b)),
-                NoHint,
             ),
             SkewHashKind::PrimeDisplacement => op.exec(
                 hcfg,
                 SkewedCache::with_banks(cfg, |b, g| SkewDispBank::new(g, bank_disp_factor(b))),
-                NoHint,
             ),
         },
         L2Organization::FullyAssociative {
             size_bytes,
             line_bytes,
-        } => op.exec(hcfg, FullyAssociative::new(size_bytes, line_bytes), NoHint),
+        } => op.exec(hcfg, FullyAssociative::new(size_bytes, line_bytes)),
     }
 }
 
-/// Builds the L1 for a hierarchy: monomorphized [`Traditional`] for the
-/// paper's L1 (always traditional indexing), boxed otherwise, then runs
-/// `and_then` with the assembled hierarchy.
-fn with_hierarchy<X, R>(
-    hcfg: HierarchyConfig,
-    l2: X,
-    and_then: impl FnOnce(HierarchyDispatch<X>) -> R,
-) -> R
-where
-    X: L2Sim,
-{
-    if hcfg.l1.hash() == HashKind::Traditional {
+/// The one driver: an event source plus an optional warm-up boundary.
+struct Drive<'m, T> {
+    events: T,
+    /// Memory references that warm the caches before every statistic
+    /// resets; `None` measures the whole source.
+    warm_refs: Option<u64>,
+    machine: &'m MachineConfig,
+    scheme: Scheme,
+}
+
+impl<T: IntoIterator<Item = Event>> DriverOp for Drive<'_, T> {
+    fn exec<X: L2Sim>(self, hcfg: HierarchyConfig, l2: X) -> RunResult {
+        // `MachineConfig::hierarchy_config` always builds the paper's
+        // L1, which indexes traditionally.
+        debug_assert_eq!(hcfg.l1.hash(), HashKind::Traditional);
         let l1 = Cache::with_typed(
             hcfg.l1,
             Traditional::new(Geometry::new(hcfg.l1.n_set_phys())),
         );
-        and_then(HierarchyDispatch::Mono(Hierarchy::with_parts(hcfg, l1, l2)))
-    } else {
-        and_then(HierarchyDispatch::BoxedL1(Hierarchy::with_parts(
-            hcfg,
-            Cache::new(hcfg.l1),
-            l2,
-        )))
-    }
-}
+        let mut hierarchy = Hierarchy::with_parts(hcfg, l1, l2);
+        let mut dram = Dram::new(self.machine.mem);
+        let mut cpu = Cpu::new(self.machine.cpu);
+        let mut events = self.events.into_iter();
 
-/// The two L1 shapes [`with_hierarchy`] can produce.
-enum HierarchyDispatch<X: L2Sim> {
-    Mono(Hierarchy<X, Traditional>),
-    BoxedL1(Hierarchy<X, Box<dyn SetIndexer>>),
-}
-
-/// Runs one hinted event sequence to completion and packages the result.
-fn drive<X>(
-    machine: &MachineConfig,
-    scheme: Scheme,
-    hcfg: HierarchyConfig,
-    l2: X,
-    trace: impl IntoIterator<Item = (Event, u32)>,
-) -> RunResult
-where
-    X: L2Sim,
-{
-    with_hierarchy(hcfg, l2, |mut hd| {
-        let mut dram = Dram::new(machine.mem);
-        let mut cpu = Cpu::new(machine.cpu);
-        let (breakdown, l1, l2, dram_stats) = match &mut hd {
-            HierarchyDispatch::Mono(h) => {
-                let b = cpu.run_hinted(trace, h, &mut dram);
-                (b, h.l1_stats().clone(), h.l2_stats().clone(), *dram.stats())
-            }
-            HierarchyDispatch::BoxedL1(h) => {
-                let b = cpu.run_hinted(trace, h, &mut dram);
-                (b, h.l1_stats().clone(), h.l2_stats().clone(), *dram.stats())
-            }
-        };
-        RunResult {
-            scheme,
-            breakdown,
-            l1,
-            l2,
-            dram: dram_stats,
-        }
-    })
-}
-
-/// [`run_trace`]'s op: drive an arbitrary event iterator (monomorphized
-/// caches, no batching — hints need chunked input).
-struct TraceOp<'m, T> {
-    trace: T,
-    machine: &'m MachineConfig,
-    scheme: Scheme,
-}
-
-impl<T: IntoIterator<Item = Event>> DriverOp for TraceOp<'_, T> {
-    fn exec<X: L2Sim, H: L2Hint>(self, hcfg: HierarchyConfig, l2: X, _hinter: H) -> RunResult {
-        drive(
-            self.machine,
-            self.scheme,
-            hcfg,
-            l2,
-            self.trace.into_iter().map(|ev| (ev, NO_HINT)),
-        )
-    }
-}
-
-/// [`run_workload`]'s / [`run_replay`]'s op: drive any [`EventChunks`]
-/// source chunk-batched, with per-chunk L2 set-index precomputation.
-struct StreamOp<'m, S: EventChunks> {
-    stream: S,
-    machine: &'m MachineConfig,
-    scheme: Scheme,
-}
-
-impl<S: EventChunks> DriverOp for StreamOp<'_, S> {
-    fn exec<X: L2Sim, H: L2Hint>(self, hcfg: HierarchyConfig, l2: X, hinter: H) -> RunResult {
-        let line = l2_line_bytes(&hcfg.l2);
-        let hinted = HintedChunks::new(self.stream, hinter, line);
-        drive(self.machine, self.scheme, hcfg, l2, hinted)
-    }
-}
-
-/// [`run_workload_warm`]'s op: chunk-batched like [`StreamOp`], with the
-/// warm/measure stat reset spliced mid-stream.
-struct WarmStreamOp<'m, S: EventChunks> {
-    stream: S,
-    machine: &'m MachineConfig,
-    scheme: Scheme,
-    warm_refs: u64,
-}
-
-impl<S: EventChunks> DriverOp for WarmStreamOp<'_, S> {
-    fn exec<X: L2Sim, H: L2Hint>(self, hcfg: HierarchyConfig, l2: X, hinter: H) -> RunResult {
-        let scheme = self.scheme;
-        let machine = self.machine;
-        let warm_refs = self.warm_refs;
-        let line = l2_line_bytes(&hcfg.l2);
-        let mut hinted = HintedChunks::new(self.stream, hinter, line);
-        with_hierarchy(hcfg, l2, |mut hd| {
-            let mut dram = Dram::new(machine.mem);
-            let mut cpu = Cpu::new(machine.cpu);
-
-            // Warm phase: pull events until `warm_refs` memory references
-            // have passed. The boundary falls immediately *after* the
-            // event that completes the `warm_refs`-th reference, exactly
-            // where the materialized-split implementation cut.
+        if let Some(warm_refs) = self.warm_refs {
+            // The boundary falls immediately *after* the event that
+            // completes the `warm_refs`-th memory reference, exactly where
+            // the materialized-split implementation cut.
             let mut seen = 0u64;
             let mut boundary = false;
             let warm = std::iter::from_fn(|| {
                 if boundary {
                     return None;
                 }
-                let (ev, hint) = hinted.next()?;
+                let ev = events.next()?;
                 if ev.is_memory() {
                     seen += 1;
                 }
-                if seen >= warm_refs {
-                    boundary = true;
-                }
-                Some((ev, hint))
+                boundary = seen >= warm_refs;
+                Some(ev)
             });
+            let _ = cpu.run(warm, &mut hierarchy, &mut dram);
+            hierarchy.reset_stats();
+            dram.new_epoch();
+        }
 
-            let (breakdown, l1, l2, dram_stats) = match &mut hd {
-                HierarchyDispatch::Mono(h) => {
-                    let _ = cpu.run_hinted(warm, h, &mut dram);
-                    h.reset_stats();
-                    dram.new_epoch();
-                    let b = cpu.run_hinted(&mut hinted, h, &mut dram);
-                    (b, h.l1_stats().clone(), h.l2_stats().clone(), *dram.stats())
-                }
-                HierarchyDispatch::BoxedL1(h) => {
-                    let _ = cpu.run_hinted(warm, h, &mut dram);
-                    h.reset_stats();
-                    dram.new_epoch();
-                    let b = cpu.run_hinted(&mut hinted, h, &mut dram);
-                    (b, h.l1_stats().clone(), h.l2_stats().clone(), *dram.stats())
-                }
-            };
-            RunResult {
-                scheme,
-                breakdown,
-                l1,
-                l2,
-                dram: dram_stats,
-            }
-        })
+        let breakdown = cpu.run(events, &mut hierarchy, &mut dram);
+        RunResult {
+            scheme: self.scheme,
+            breakdown,
+            l1: hierarchy.l1_stats().clone(),
+            l2: hierarchy.l2_stats().clone(),
+            dram: *dram.stats(),
+        }
     }
 }
 
-/// The L2 line size of an organization.
-fn l2_line_bytes(l2: &L2Organization) -> u64 {
-    match l2 {
-        L2Organization::SetAssoc(c) => c.line_bytes(),
-        L2Organization::Skewed(c) => c.line_bytes(),
-        L2Organization::FullyAssociative { line_bytes, .. } => *line_bytes,
-    }
+/// Checks `scheme` (debug/`check` builds) and runs `events` through the
+/// one monomorphized driver.
+fn drive<T: IntoIterator<Item = Event>>(
+    events: T,
+    warm_refs: Option<u64>,
+    scheme: Scheme,
+    machine: &MachineConfig,
+) -> RunResult {
+    #[cfg(any(debug_assertions, feature = "check"))]
+    machine.check_scheme(scheme);
+    dispatch(
+        machine,
+        scheme,
+        Drive {
+            events,
+            warm_refs,
+            machine,
+            scheme,
+        },
+    )
 }
 
 /// Runs an explicit event stream under a scheme on the paper's machine.
@@ -382,17 +189,7 @@ pub fn run_trace<T>(trace: T, scheme: Scheme, machine: &MachineConfig) -> RunRes
 where
     T: IntoIterator<Item = Event>,
 {
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
-    dispatch(
-        machine,
-        scheme,
-        TraceOp {
-            trace,
-            machine,
-            scheme,
-        },
-    )
+    drive(trace, None, scheme, machine)
 }
 
 /// The dynamically-dispatched reference driver: `Box<dyn SetIndexer>`
@@ -435,10 +232,11 @@ pub fn run_workload_reference(workload: &Workload, scheme: Scheme, target_refs: 
 
 /// Runs a workload under a scheme on the paper's default machine.
 ///
-/// `target_refs` controls the trace length (memory references). The
-/// trace is streamed from a generator thread, never materialized; the
-/// driver pulls it chunk-at-a-time and precomputes each chunk's L2 set
-/// indexes before simulating it.
+/// `target_refs` sets the trace length in memory references, as in
+/// [`Workload::events`]: the generator stops at the first loop boundary
+/// at or after `target_refs` references, so a run can simulate a few
+/// more (`swim` at 1 simulates 4). The trace is streamed from a
+/// generator thread, never materialized.
 ///
 /// # Examples
 ///
@@ -452,22 +250,12 @@ pub fn run_workload_reference(workload: &Workload, scheme: Scheme, target_refs: 
 #[must_use]
 pub fn run_workload(workload: &Workload, scheme: Scheme, target_refs: u64) -> RunResult {
     let machine = MachineConfig::paper_default();
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
-    dispatch(
-        &machine,
-        scheme,
-        StreamOp {
-            stream: workload.events(target_refs),
-            machine: &machine,
-            scheme,
-        },
-    )
+    drive(workload.events(target_refs), None, scheme, &machine)
 }
 
-/// Runs a *recorded* trace replay under a scheme: the chunk-batched
-/// driver of [`run_workload`] fed from a [`ReplayCursor`] instead of a
-/// live generator stream.
+/// Runs a *recorded* trace replay under a scheme: the driver of
+/// [`run_workload`] fed from a [`ReplayCursor`] instead of a live
+/// generator stream.
 ///
 /// Decode is bit-identical to live generation (the codec is lossless
 /// and the recording sink sees the same push sequence), so results
@@ -480,7 +268,7 @@ pub fn run_replay(cursor: ReplayCursor<'_>, scheme: Scheme, machine: &MachineCon
     run_chunks(cursor, scheme, machine)
 }
 
-/// Runs any [`EventChunks`] source through the chunk-batched driver.
+/// Runs any [`EventChunks`] source through the driver.
 ///
 /// This is the generic entry behind [`run_replay`]: a recorded
 /// [`ReplayCursor`], an imported trace's cursor, or a multi-tenant
@@ -490,17 +278,7 @@ pub fn run_replay(cursor: ReplayCursor<'_>, scheme: Scheme, machine: &MachineCon
 /// (single-tenant mix == plain replay, bit-exactly).
 #[must_use]
 pub fn run_chunks<S: EventChunks>(stream: S, scheme: Scheme, machine: &MachineConfig) -> RunResult {
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
-    dispatch(
-        machine,
-        scheme,
-        StreamOp {
-            stream,
-            machine,
-            scheme,
-        },
-    )
+    drive(stream, None, scheme, machine)
 }
 
 /// [`run_replay`] over a whole recorded trace, from its start.
@@ -510,7 +288,7 @@ pub fn run_recorded(trace: &EncodedTrace, scheme: Scheme, machine: &MachineConfi
 }
 
 /// Records `workload` once (same-thread, compact encoding) and replays
-/// the recording through the batched driver — bit-identical to
+/// the recording through the driver — bit-identical to
 /// [`run_workload`] on the paper's default machine.
 #[must_use]
 pub fn run_workload_recorded(workload: &Workload, scheme: Scheme, target_refs: u64) -> RunResult {
@@ -545,17 +323,11 @@ pub fn run_workload_warm(
     measure_refs: u64,
 ) -> RunResult {
     let machine = MachineConfig::paper_default();
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
-    dispatch(
-        &machine,
+    drive(
+        workload.events(warm_refs + measure_refs),
+        Some(warm_refs),
         scheme,
-        WarmStreamOp {
-            stream: workload.events(warm_refs + measure_refs),
-            machine: &machine,
-            scheme,
-            warm_refs,
-        },
+        &machine,
     )
 }
 
@@ -613,7 +385,7 @@ mod tests {
     /// The pre-streaming `run_workload_warm` materialized the combined
     /// trace and split it at the warm boundary. Reproduce that path here
     /// (on the reference dyn driver) and assert the mid-stream-reset
-    /// batched implementation is bit-identical.
+    /// driver is bit-identical.
     fn warm_via_materialized_split(
         workload: &primecache_workloads::Workload,
         scheme: Scheme,
@@ -688,8 +460,8 @@ mod tests {
     #[test]
     fn dsl_pmod_scheme_matches_builtin_pmod_bit_for_bit() {
         // The DSL-compiled `a % 2039` closure must be indistinguishable
-        // from the hand-written pMod indexer inside the batched driver:
-        // same sets, same hints, same latency class, same stats.
+        // from the hand-written pMod indexer inside the driver: same
+        // sets, same latency class, same stats.
         let id = primecache_core::expr::register_anonymous("a % 2039").expect("valid expression");
         let w = by_name("tree").unwrap();
         let expr = run_workload(w, Scheme::Expr(id), 20_000);
@@ -712,8 +484,8 @@ mod tests {
     #[test]
     fn batched_drivers_match_reference_quick() {
         // A quick per-scheme smoke of what the root `batched_equivalence`
-        // battery proves exhaustively: the monomorphized chunk-batched
-        // driver is bit-identical to the dyn reference path.
+        // battery proves exhaustively: the monomorphized driver is
+        // bit-identical to the dyn reference path.
         let machine = MachineConfig::paper_default();
         let w = by_name("mcf").unwrap();
         for scheme in [

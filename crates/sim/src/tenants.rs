@@ -5,7 +5,7 @@
 //! ordinary single-stream path:
 //!
 //! 1. **Aggregate pass** — the interleaved stream (a
-//!    [`MixCursor`]) drives the unchanged chunk-batched engine via
+//!    [`MixCursor`]) drives the ordinary single-stream driver via
 //!    [`crate::run_chunks`]. Timing, DRAM behaviour, and the execution
 //!    breakdown come from this one continuous simulation; a
 //!    single-tenant mix is therefore bit-identical to [`crate::run_replay`]
@@ -25,7 +25,7 @@
 //! contention, per scheme — the multi-programmed cousin of the paper's
 //! conflict-miss question.
 
-use primecache_cache::{CacheStats, Hierarchy, NO_HINT};
+use primecache_cache::{CacheStats, Hierarchy};
 use primecache_trace::Event;
 use primecache_workloads::{MixCursor, MixStats, TenantMix};
 
@@ -137,7 +137,7 @@ struct LaneCache {
 /// The cache-only attribution pass: replays the interleaving through a
 /// fresh hierarchy quantum by quantum, crediting each quantum's
 /// statistics delta to the tenant that ran it. Mirrors the CPU model's
-/// memory path exactly — one [`Hierarchy::access_hinted`] per load or
+/// memory path exactly — one [`Hierarchy::access`] per load or
 /// store, writebacks drained — so the hierarchy sees the identical
 /// access sequence the aggregate run did.
 fn attribute(
@@ -163,7 +163,7 @@ fn attribute(
         for ev in &events {
             if let Some(addr) = ev.addr() {
                 let write = matches!(ev, Event::Store { .. });
-                let _ = hierarchy.access_hinted(addr, write, NO_HINT);
+                let _ = hierarchy.access(addr, write);
             }
         }
         let _ = hierarchy.take_memory_writes();

@@ -62,8 +62,8 @@ pub struct ThroughputReport {
 }
 
 /// Measures end-to-end refs/sec for each scheme: all 23 workloads,
-/// `refs_per_workload` references each, streamed through the batched
-/// monomorphized drivers (the production hot path).
+/// `refs_per_workload` references each, streamed through the
+/// monomorphized driver (the production hot path).
 #[must_use]
 pub fn measure(schemes: &[Scheme], refs_per_workload: u64) -> ThroughputReport {
     measure_with(schemes, refs_per_workload, run_workload)
@@ -174,8 +174,10 @@ fn measure_pipeline_stages(refs_per_workload: u64) -> (TraceStore, Vec<NamedThro
 /// suite is recorded once into the compact store (`gen:record` extra),
 /// then each workload's trace is decoded once into a flat event buffer
 /// (`replay:materialize` extra) and every scheme simulates straight off
-/// that buffer through the slice driver — no per-scheme re-decode, no
-/// chunk re-batching, no hint precompute. Also measures the pure
+/// that buffer through [`run_trace`] — no per-scheme re-decode. This is
+/// the same monomorphized driver [`crate::suite::run_sweep`] feeds from
+/// a replay cursor, so the per-scheme rows differ from a sweep cell only
+/// by the decode they skip. Also measures the pure
 /// pipeline stages (`gen:stream`, `replay:decode`) and an end-to-end
 /// `sweep:aggregate` entry: total simulated refs across all schemes
 /// divided by record + materialize + simulation time, the number a

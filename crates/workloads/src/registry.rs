@@ -32,6 +32,11 @@ impl Workload {
     /// Streams the same event sequence as [`Workload::trace`] with O(1)
     /// peak memory: the generator runs on its own thread and events
     /// arrive through a bounded channel.
+    ///
+    /// `target_refs` is a lower bound, not an exact length: a generator
+    /// checks it only between iterations of its main loop, so it stops
+    /// at the first loop boundary at or after `target_refs` memory
+    /// references. `swim` at 1 yields 4 references, one loop iteration.
     #[must_use]
     pub fn events(&self, target_refs: u64) -> EventStream {
         EventStream::spawn(self.generator, target_refs)
@@ -55,6 +60,9 @@ impl Workload {
     /// compact delta/varint [`EncodedTrace`] that can be replayed any
     /// number of times ([`EncodedTrace::replay`]) — the generate-once
     /// path behind [`crate::TraceStore`] and sweep replay.
+    ///
+    /// `target_refs` has the same loop-boundary meaning as in
+    /// [`Workload::events`].
     #[must_use]
     pub fn record(&self, target_refs: u64) -> EncodedTrace {
         record(self.generator, target_refs)

@@ -1,6 +1,6 @@
 //! The in-memory recorded-trace store behind generate-once sweeps, and
-//! the [`EventChunks`] abstraction that lets the simulation drivers pull
-//! chunks from either a live generator stream or a recorded replay.
+//! the [`EventChunks`] abstraction over the event sources the simulation
+//! drivers consume: a live generator stream or a recorded replay.
 //!
 //! A design-space sweep runs every scheme over the *identical* 23
 //! traces; generating them once per scheme makes the sweep
@@ -18,17 +18,14 @@ use serde::Serialize;
 use crate::registry::Workload;
 use crate::stream::EventStream;
 
-/// A source of trace events the batched simulation drivers can consume
-/// chunk-at-a-time: a live [`EventStream`] or a recorded
-/// [`ReplayCursor`]. Implementors must deliver the same event sequence
-/// through `next` and `next_chunk` (remainder-first on interleaving).
+/// A source of trace events the simulation drivers consume: a live
+/// [`EventStream`], a recorded [`ReplayCursor`] or a multi-tenant
+/// `MixCursor`.
+///
+/// The driver iterates the source event by event; each source already
+/// decodes or receives a whole chunk at a time inside `next`. The trait
+/// adds only the chunk counters the observability layer reports.
 pub trait EventChunks: Iterator<Item = Event> {
-    /// Next whole chunk of events, or `None` at end of trace.
-    ///
-    /// (Named `pull_chunk` rather than `next_chunk` to stay clear of the
-    /// unstable `Iterator::next_chunk`.)
-    fn pull_chunk(&mut self) -> Option<Vec<Event>>;
-
     /// `(chunks delivered, blocked_waits)` so far. Replays never block:
     /// their second component is always 0.
     fn chunk_stats(&self) -> (u64, u64);
@@ -39,10 +36,6 @@ pub trait EventChunks: Iterator<Item = Event> {
 }
 
 impl EventChunks for EventStream {
-    fn pull_chunk(&mut self) -> Option<Vec<Event>> {
-        self.next_chunk()
-    }
-
     fn chunk_stats(&self) -> (u64, u64) {
         self.stream_stats()
     }
@@ -53,10 +46,6 @@ impl EventChunks for EventStream {
 }
 
 impl EventChunks for ReplayCursor<'_> {
-    fn pull_chunk(&mut self) -> Option<Vec<Event>> {
-        self.next_chunk()
-    }
-
     fn chunk_stats(&self) -> (u64, u64) {
         self.stream_stats()
     }
@@ -71,10 +60,6 @@ impl EventChunks for ReplayCursor<'_> {
 /// (e.g. an importer stream whose deferred parse error the caller checks
 /// once the run finishes).
 impl<S: EventChunks + ?Sized> EventChunks for &mut S {
-    fn pull_chunk(&mut self) -> Option<Vec<Event>> {
-        (**self).pull_chunk()
-    }
-
     fn chunk_stats(&self) -> (u64, u64) {
         (**self).chunk_stats()
     }
@@ -260,14 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn event_chunks_is_object_safe_enough_for_both_sources() {
-        // The same driver-side consumption pattern must see the same
-        // events from a live stream and a replay cursor.
+    fn live_and_replayed_sources_share_events_and_chunk_cadence() {
+        // The driver iterates either source event by event; both must
+        // deliver the same events and count the same chunks doing so.
         fn drain(mut src: impl EventChunks) -> (Vec<Event>, u64) {
-            let mut out = Vec::new();
-            while let Some(chunk) = src.pull_chunk() {
-                out.extend(chunk);
-            }
+            let out: Vec<Event> = src.by_ref().collect();
             (out, src.chunk_stats().0)
         }
         let w = by_name("tree").unwrap();

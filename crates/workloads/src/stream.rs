@@ -93,8 +93,7 @@ impl EventStream {
     }
 
     /// Next whole chunk of events (at most `chunk_events` long), or
-    /// `None` once the generator is exhausted. The batched drivers in
-    /// `primecache-sim` precompute L2 set indexes over whole chunks.
+    /// `None` once the generator is exhausted.
     ///
     /// Order-compatible with the `Iterator` view: the concatenation of
     /// chunks (interleaved with any `next()` pulls) is exactly the

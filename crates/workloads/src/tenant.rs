@@ -180,8 +180,8 @@ struct Lane<'a> {
 
 /// The interleaved event stream of a [`TenantMix`]: an
 /// [`EventChunks`] source (one chunk = one scheduling quantum) that the
-/// unchanged batched drivers consume, plus [`MixCursor::pull_quantum`]
-/// for consumers that need to know which tenant each slice belongs to.
+/// simulation drivers consume, plus [`MixCursor::pull_quantum`] for
+/// consumers that need to know which tenant each slice belongs to.
 #[derive(Debug)]
 pub struct MixCursor<'a> {
     lanes: Vec<Lane<'a>>,
@@ -191,7 +191,7 @@ pub struct MixCursor<'a> {
     quantum: u64,
     shift: u32,
     /// Remainder of a quantum partially consumed through `next`.
-    buf: std::collections::VecDeque<Event>,
+    buf: std::vec::IntoIter<Event>,
     last: Option<usize>,
     stats: MixStats,
 }
@@ -205,7 +205,7 @@ impl<'a> MixCursor<'a> {
             rng: Lcg::new(cfg.seed),
             quantum: cfg.quantum_instructions,
             shift: cfg.ns_shift,
-            buf: std::collections::VecDeque::new(),
+            buf: Vec::new().into_iter(),
             last: None,
             stats: MixStats {
                 events: vec![0; n],
@@ -219,9 +219,10 @@ impl<'a> MixCursor<'a> {
     /// The next scheduling quantum as `(tenant index, tagged events)`,
     /// or `None` once every tenant is exhausted.
     ///
-    /// This is the tenant-aware twin of
-    /// [`EventChunks::pull_chunk`]; interleaving the two (or `next`)
-    /// drains the same sequence exactly once, remainder-first.
+    /// This is the tenant-aware view of the quanta that `next` walks
+    /// through. It does not return the remainder of a quantum already
+    /// partly consumed through `next`, so a consumer uses one or the
+    /// other.
     pub fn pull_quantum(&mut self) -> Option<(usize, Vec<Event>)> {
         while !self.live.is_empty() {
             let slot = self.rng.below(self.live.len() as u64) as usize;
@@ -286,23 +287,16 @@ impl Iterator for MixCursor<'_> {
 
     fn next(&mut self) -> Option<Event> {
         loop {
-            if let Some(ev) = self.buf.pop_front() {
+            if let Some(ev) = self.buf.next() {
                 return Some(ev);
             }
             let (_, quantum) = self.pull_quantum()?;
-            self.buf.extend(quantum);
+            self.buf = quantum.into_iter();
         }
     }
 }
 
 impl EventChunks for MixCursor<'_> {
-    fn pull_chunk(&mut self) -> Option<Vec<Event>> {
-        if !self.buf.is_empty() {
-            return Some(self.buf.drain(..).collect());
-        }
-        self.pull_quantum().map(|(_, events)| events)
-    }
-
     fn chunk_stats(&self) -> (u64, u64) {
         // A mix replays recordings: it never blocks on a generator.
         (self.stats.quanta, 0)
@@ -337,7 +331,7 @@ mod tests {
         assert_eq!(via_next, expected, "tenant 0's tag must be the identity");
         let mut chunked = Vec::new();
         let mut cur = mix.cursor();
-        while let Some(c) = cur.pull_chunk() {
+        while let Some((_, c)) = cur.pull_quantum() {
             chunked.extend(c);
         }
         assert_eq!(chunked, expected);
@@ -401,30 +395,6 @@ mod tests {
         assert_eq!(stats.refs, vec![mix.trace(0).refs(), mix.trace(1).refs()]);
         assert_eq!(stats.ns_overflows, 0);
         assert!(stats.switches > 0);
-    }
-
-    #[test]
-    fn next_and_pull_chunk_interleave_remainder_first() {
-        let mix = TenantMix::new(
-            vec![recorded("swim", 2_000)],
-            MixConfig {
-                quantum_instructions: 500,
-                ..MixConfig::default()
-            },
-        );
-        let expected: Vec<Event> = mix.cursor().collect();
-        let mut cur = mix.cursor();
-        let mut got = Vec::new();
-        for _ in 0..5 {
-            got.push(cur.next().unwrap());
-        }
-        let remainder = cur.pull_chunk().unwrap();
-        assert!(remainder.len() < expected.len() - 5, "remainder, not all");
-        got.extend(remainder);
-        while let Some(c) = cur.pull_chunk() {
-            got.extend(c);
-        }
-        assert_eq!(got, expected);
     }
 
     #[test]

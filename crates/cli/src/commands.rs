@@ -1044,8 +1044,9 @@ fn metrics_app(app: &str, args: &[String]) -> i32 {
 /// Runs one simulation and emits the versioned `primecache.run-report`
 /// JSON document: provenance (config fingerprint, git revision, wall and
 /// simulated time), the execution breakdown, per-level cache and DRAM
-/// totals, and — when built with the `obs` feature — the full named
-/// metric dump. With `--replay`, the simulation consumes a recorded
+/// totals, and the full named metric dump. The run goes through the
+/// same monomorphized driver as `pcache sweep` with a recorder
+/// attached. With `--replay`, the simulation consumes a recorded
 /// trace instead of a live generator (bit-identical results); the
 /// metric dump then includes the `trace_store.*` family and the replay
 /// path's `stream.*` counters.
@@ -1077,35 +1078,12 @@ pub fn report(args: &[String]) -> i32 {
         }
     };
     let replay = args.iter().any(|a| a == "--replay");
-    #[cfg(feature = "obs")]
-    let report = if replay {
-        primecache_sim::observe::observed_report_replayed(
-            workload,
-            scheme,
-            refs,
-            primecache_obs::ObsConfig::default(),
-        )
-        .0
+    let observe = if replay {
+        primecache_sim::observe::observed_report_replayed
     } else {
-        primecache_sim::observe::observed_report(
-            workload,
-            scheme,
-            refs,
-            primecache_obs::ObsConfig::default(),
-        )
-        .0
+        primecache_sim::observe::observed_report
     };
-    #[cfg(not(feature = "obs"))]
-    let report = {
-        if replay {
-            eprintln!(
-                "note: this pcache was built without the `obs` feature; --replay \
-                 results are bit-identical to the live path, and the trace_store.* \
-                 metrics need an obs build"
-            );
-        }
-        primecache_sim::report_for_run(workload, scheme, refs)
-    };
+    let (report, _) = observe(workload, scheme, refs, primecache_obs::ObsConfig::default());
     let text = if args.iter().any(|a| a == "--compact") {
         let mut t = report.to_json().render();
         t.push('\n');
@@ -1132,8 +1110,9 @@ pub fn report(args: &[String]) -> i32 {
 ///
 /// Emits JSONL: one event object per line (`"ev"` discriminates
 /// access/eviction/dram/task; schema in OBSERVABILITY.md). The per-run
-/// form needs the `obs` build feature; the `--sweep` form (scheduling
-/// records of the parallel sweep) works in every build.
+/// form records one observed run on the same monomorphized driver as
+/// `pcache sweep`; the `--sweep` form emits the scheduling records of
+/// the parallel sweep.
 pub fn trace_events(args: &[String]) -> i32 {
     if args.iter().any(|a| a == "--sweep") {
         return trace_events_sweep(args);
@@ -1170,7 +1149,6 @@ fn emit_jsonl(args: &[String], events: &[primecache_obs::ObsEvent]) -> i32 {
     0
 }
 
-#[cfg(feature = "obs")]
 fn trace_events_run(args: &[String]) -> i32 {
     let Some(name) = positional(args) else {
         eprintln!(
@@ -1218,16 +1196,6 @@ fn trace_events_run(args: &[String]) -> i32 {
     let mut mem = primecache_obs::MemorySink::default();
     recorder.drain_events(&mut mem);
     emit_jsonl(args, &mem.events)
-}
-
-#[cfg(not(feature = "obs"))]
-fn trace_events_run(_args: &[String]) -> i32 {
-    eprintln!(
-        "this pcache was built without the `obs` feature; per-access event \
-         tracing is unavailable (rebuild with `--features obs`). \
-         `pcache trace-events --sweep` works in every build."
-    );
-    2
 }
 
 /// `pcache trace-events --sweep [--refs N] [--out FILE]`: runs a small

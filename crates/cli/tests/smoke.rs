@@ -78,6 +78,26 @@ fn trace_and_inspect_roundtrip() {
 }
 
 #[test]
+fn trace_events_ring_capacity_is_a_bound_not_an_allocation() {
+    // The ring grows with the events a run records, so a capacity no
+    // allocation could hold is accepted and only bounds the buffer.
+    let dir = std::env::temp_dir().join("pcache_cli_ring");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = dir.join("events.jsonl");
+    let out_str = out.to_str().unwrap();
+    let ring = usize::MAX.to_string();
+    assert_eq!(
+        commands::trace_events(&args(&[
+            "tree", "--refs", "2000", "--ring", &ring, "--out", out_str
+        ])),
+        0
+    );
+    let events = std::fs::read_to_string(&out).unwrap();
+    assert!(events.lines().count() > 0);
+    std::fs::remove_file(out).ok();
+}
+
+#[test]
 fn trace_requires_out_flag() {
     assert_eq!(commands::trace(&args(&["swim"])), 2);
     assert_eq!(commands::trace(&args(&[])), 2);

@@ -44,6 +44,8 @@ pub(crate) enum Op {
     ChanRecv(ObjId),
     /// Non-blocking channel receive.
     ChanTryRecv(ObjId),
+    /// The sender hangs up (drops its end).
+    ChanHangup(ObjId),
     /// Join a thread.
     Join(Tid),
 }
@@ -59,7 +61,8 @@ impl Op {
             | Op::AtomicAdd(o, _)
             | Op::ChanSend(o)
             | Op::ChanRecv(o)
-            | Op::ChanTryRecv(o) => Some((o, true)),
+            | Op::ChanTryRecv(o)
+            | Op::ChanHangup(o) => Some((o, true)),
         }
     }
 }
@@ -458,6 +461,10 @@ impl Executor {
                     Outcome::Hungup
                 }
             }
+            Op::ChanHangup(o) => {
+                Self::hang_up(st, o);
+                Outcome::Done
+            }
         }
     }
 
@@ -482,6 +489,17 @@ impl Executor {
             }
             Op::ChanSend(_) => Outcome::Hungup,
             Op::ChanRecv(_) | Op::ChanTryRecv(_) => Outcome::Hungup,
+            Op::ChanHangup(o) => {
+                Self::hang_up(&mut st, o);
+                Outcome::Done
+            }
+        }
+    }
+
+    /// Marks channel `obj`'s sender as gone.
+    fn hang_up(st: &mut ExecState, obj: ObjId) {
+        if let ObjState::Channel { sender_alive, .. } = &mut st.objects[obj] {
+            *sender_alive = false;
         }
     }
 
@@ -498,20 +516,12 @@ impl Executor {
         st.step.accesses.push((obj, true));
     }
 
-    /// Immediate effect: a channel half was dropped.
-    pub(crate) fn channel_closed(&self, obj: ObjId, sender_side: bool) {
+    /// Immediate (non-scheduling) effect: the receiver half was dropped.
+    /// The sender's drop is the scheduling op [`Op::ChanHangup`].
+    pub(crate) fn receiver_closed(&self, obj: ObjId) {
         let mut st = self.lock();
-        if let ObjState::Channel {
-            sender_alive,
-            receiver_alive,
-            ..
-        } = &mut st.objects[obj]
-        {
-            if sender_side {
-                *sender_alive = false;
-            } else {
-                *receiver_alive = false;
-            }
+        if let ObjState::Channel { receiver_alive, .. } = &mut st.objects[obj] {
+            *receiver_alive = false;
         }
         st.step.accesses.push((obj, true));
     }
@@ -533,7 +543,8 @@ impl Executor {
             | Op::AtomicLoad(_)
             | Op::AtomicStore(..)
             | Op::AtomicAdd(..)
-            | Op::ChanTryRecv(_) => true,
+            | Op::ChanTryRecv(_)
+            | Op::ChanHangup(_) => true,
             Op::MutexLock(o) => {
                 matches!(&st.objects[o], ObjState::Mutex { held_by: None })
             }

@@ -397,7 +397,11 @@ impl<T: Send> SenderApi<T> for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        self.exec.channel_closed(self.obj, true);
+        // Hanging up is a scheduling point: on real threads the receiver
+        // can find the channel empty but still open between the last
+        // send and this drop, and then block until the hang-up.
+        let (_, me) = current();
+        self.exec.yield_op(me, Op::ChanHangup(self.obj));
     }
 }
 
@@ -430,7 +434,7 @@ impl<T: Send> ReceiverApi<T> for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.exec.channel_closed(self.obj, false);
+        self.exec.receiver_closed(self.obj);
     }
 }
 

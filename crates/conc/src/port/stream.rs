@@ -131,29 +131,7 @@ impl<B: Backend, T: Send + 'static> ChunkStream<B, T> {
             if let Some(item) = self.chunk.next() {
                 return Some(item);
             }
-            // Non-blocking receive first, purely to observe
-            // back-pressure: an empty channel here means this pull is
-            // about to block on the producer.
-            let rx = self.rx.as_ref()?;
-            let received = match rx.try_recv() {
-                TryRecv::Item(chunk) => Some(chunk),
-                TryRecv::Empty => {
-                    self.blocked_waits += 1;
-                    rx.recv()
-                }
-                TryRecv::Disconnected => None,
-            };
-            match received {
-                Some(chunk) => {
-                    self.chunks += 1;
-                    self.chunk = chunk.into_iter();
-                }
-                None => {
-                    // Producer finished and dropped its sender.
-                    self.rx = None;
-                    return None;
-                }
-            }
+            self.chunk = self.pull()?.into_iter();
         }
     }
 
@@ -165,7 +143,8 @@ impl<B: Backend, T: Send + 'static> ChunkStream<B, T> {
     /// Interleaving `next_chunk` and `next_item` is sound — the
     /// concatenation of everything returned is always the produced item
     /// sequence. Back-pressure accounting matches `next_item`: a pull
-    /// that finds the channel empty counts one blocked wait.
+    /// that finds the channel empty and then receives a chunk counts one
+    /// blocked wait.
     ///
     /// [`next_item`]: ChunkStream::next_item
     pub fn next_chunk(&mut self) -> Option<Vec<T>> {
@@ -174,36 +153,42 @@ impl<B: Backend, T: Send + 'static> ChunkStream<B, T> {
             return Some(rest);
         }
         loop {
-            let rx = self.rx.as_ref()?;
-            let received = match rx.try_recv() {
-                TryRecv::Item(chunk) => Some(chunk),
-                TryRecv::Empty => {
-                    self.blocked_waits += 1;
-                    rx.recv()
-                }
-                TryRecv::Disconnected => None,
-            };
-            match received {
-                Some(chunk) => {
-                    self.chunks += 1;
-                    // Producers only send non-empty chunks, but tolerate
-                    // an empty one rather than return a confusing
-                    // `Some(vec![])`.
-                    if !chunk.is_empty() {
-                        return Some(chunk);
-                    }
-                }
-                None => {
-                    self.rx = None;
-                    return None;
-                }
+            let chunk = self.pull()?;
+            // Producers only send non-empty chunks, but tolerate an empty
+            // one rather than return a confusing `Some(vec![])`.
+            if !chunk.is_empty() {
+                return Some(chunk);
             }
         }
     }
 
+    /// Receives the next chunk, blocking while the channel is empty;
+    /// `None` once the producer has finished and dropped its sender.
+    /// Counts each received chunk, and one blocked wait when the chunk
+    /// arrived only after the channel was found empty — a wait that
+    /// ends in the producer's hang-up delivers nothing and is not
+    /// counted, so `blocked_waits <= chunks` always holds.
+    fn pull(&mut self) -> Option<Vec<T>> {
+        let rx = self.rx.as_ref()?;
+        // Non-blocking receive first, purely to observe back-pressure:
+        // an empty channel here means this pull blocks on the producer.
+        let (received, waited) = match rx.try_recv() {
+            TryRecv::Item(chunk) => (Some(chunk), false),
+            TryRecv::Empty => (rx.recv(), true),
+            TryRecv::Disconnected => (None, false),
+        };
+        let Some(chunk) = received else {
+            self.rx = None;
+            return None;
+        };
+        self.chunks += 1;
+        self.blocked_waits += u64::from(waited);
+        Some(chunk)
+    }
+
     /// Back-pressure counters: `(chunks, blocked_waits)` — chunks pulled
     /// from the producer, and how many of those pulls found the channel
-    /// empty and had to block.
+    /// empty and had to block. `blocked_waits <= chunks`.
     #[must_use]
     pub fn stats(&self) -> (u64, u64) {
         (self.chunks, self.blocked_waits)

@@ -6,10 +6,8 @@ use std::collections::{BinaryHeap, VecDeque};
 use primecache_cache::{AccessOutcome, Hierarchy, L2Sim};
 use primecache_core::index::SetIndexer;
 use primecache_mem::Dram;
-use primecache_trace::Event;
-
-#[cfg(feature = "obs")]
 use primecache_obs::ObsHandle;
+use primecache_trace::Event;
 
 use crate::{CpuConfig, ExecBreakdown};
 
@@ -23,7 +21,6 @@ pub struct Cpu {
     /// Stall attribution of the most recent [`Cpu::run`].
     last_stalls: StallAttribution,
     /// Sim-time clock feed for event timestamps.
-    #[cfg(feature = "obs")]
     obs: Option<ObsHandle>,
 }
 
@@ -192,7 +189,6 @@ impl Cpu {
         Self {
             config,
             last_stalls: StallAttribution::default(),
-            #[cfg(feature = "obs")]
             obs: None,
         }
     }
@@ -205,7 +201,6 @@ impl Cpu {
 
     /// Attaches an observability recorder; the core advances its
     /// sim-time clock so cache/DRAM events carry cycle timestamps.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, handle: ObsHandle) {
         self.obs = Some(handle);
     }
@@ -318,7 +313,6 @@ impl Cpu {
             }
             // Dirty L2 victims stream to DRAM without blocking the core.
             let writebacks = hierarchy.take_memory_writes();
-            #[cfg(feature = "obs")]
             if !writebacks.is_empty() {
                 if let Some(h) = &self.obs {
                     h.borrow_mut().set_now(st.now);
@@ -355,7 +349,6 @@ impl Cpu {
         hierarchy: &mut Hierarchy<X, J>,
         dram: &mut Dram,
     ) -> Option<u64> {
-        #[cfg(feature = "obs")]
         if let Some(h) = &self.obs {
             h.borrow_mut().set_now(st.now);
         }

@@ -217,8 +217,9 @@ impl<W: Write> EventSink for JsonlSink<W> {
     }
 }
 
-/// Fixed-capacity event buffer: overwrites oldest on overflow and counts
-/// the drops.
+/// Bounded event buffer: overwrites oldest on overflow and counts the
+/// drops. Storage grows on demand up to the capacity, so a capacity far
+/// above the events a run records costs nothing.
 #[derive(Debug)]
 pub struct RingBuffer {
     buf: VecDeque<ObsEvent>,
@@ -233,7 +234,7 @@ impl RingBuffer {
     pub fn new(capacity: usize) -> RingBuffer {
         let capacity = capacity.max(1);
         RingBuffer {
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             capacity,
             recorded: 0,
             dropped: 0,

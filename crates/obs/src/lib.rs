@@ -26,11 +26,11 @@
 //! * [`Json`] — the hand-rolled JSON model (writer *and* parser) all of
 //!   the above serialize through; the workspace `serde` is a no-op shim.
 //!
-//! Simulator crates depend on this one only under their `obs` cargo
-//! feature, and every instrumented structure holds an
-//! `Option<ObsHandle>`: with the feature off the code does not exist,
-//! and with the feature on but nothing attached the cost is one branch
-//! per access. See `OBSERVABILITY.md` at the repo root for the metric
+//! The cache, DRAM and CPU models always compile their hooks, and every
+//! instrumented structure holds an `Option<ObsHandle>`: with nothing
+//! attached the cost is one branch per hook. The simulator's one
+//! monomorphized driver attaches a recorder for observed runs and none
+//! for sweeps. See `OBSERVABILITY.md` at the repo root for the metric
 //! and event reference.
 
 pub mod events;

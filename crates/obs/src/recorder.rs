@@ -1,9 +1,9 @@
 //! The per-run recorder the instrumented simulators share.
 //!
-//! One [`Recorder`] lives for the duration of one `run_trace` call. The
+//! One [`Recorder`] lives for the duration of one observed run. The
 //! cache hierarchy, DRAM model, and CPU each hold a clone of the same
 //! [`ObsHandle`] (`Rc<RefCell<Recorder>>` — a run is single-threaded;
-//! `run_sweep` builds one recorder per worker-local run) and call the
+//! `run_sweep` attaches none) and call the
 //! `#[inline]` hook methods from their hot paths. Counter hooks are
 //! unconditional plain-field increments so the observed counts match the
 //! simulator's own `stats.rs` aggregates bit-exactly; event tracing is
@@ -22,8 +22,9 @@ use crate::metrics::{Histogram, Metrics};
 /// the un-attached cost is a single branch per access.
 pub type ObsHandle = Rc<RefCell<Recorder>>;
 
-/// Runtime observability knobs (the cargo `obs` feature decides whether
-/// the hooks exist at all; this decides what an attached recorder does).
+/// Runtime observability knobs: what an attached recorder does. The
+/// hooks are always compiled; a model with no recorder attached skips
+/// each one on a single `Option` check.
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Record every Nth cache-access event (1 = all). Evictions and DRAM

@@ -103,7 +103,8 @@ pub struct RunReport {
     pub l2: CacheSummary,
     /// DRAM totals.
     pub dram: DramSummary,
-    /// Full named-metric dump (empty when the `obs` feature is off).
+    /// Full named-metric dump of the observed run (empty for a report
+    /// built from an unobserved run).
     pub metrics: Metrics,
     /// Trace events recorded during the run (0 without tracing).
     pub events_recorded: u64,

@@ -1,21 +1,18 @@
 //! Run-report construction: wraps a [`RunResult`] in the versioned,
 //! self-describing [`RunReport`] artifact of `primecache_obs`.
 //!
-//! This module is always compiled — a report needs only the end-of-run
-//! aggregates every build produces. The `obs` cargo feature adds the
-//! [`crate::observe`] drivers, which feed the report a full metric dump
-//! and event counts on top.
+//! A report needs only the end-of-run aggregates of a [`RunResult`];
+//! the [`crate::observe`] runs add a full metric dump and event counts
+//! on top.
 
 use std::path::Path;
-use std::time::Instant;
 
 use primecache_obs::{
     BreakdownSummary, CacheSummary, DramSummary, Metrics, Provenance, RunReport, RUN_REPORT_SCHEMA,
     RUN_REPORT_VERSION,
 };
-use primecache_workloads::Workload;
 
-use crate::{run_workload, MachineConfig, RunResult, Scheme};
+use crate::{MachineConfig, RunResult};
 
 fn cache_summary(s: &primecache_cache::CacheStats) -> CacheSummary {
     CacheSummary {
@@ -77,54 +74,5 @@ pub fn build_report(
         metrics,
         events_recorded,
         events_dropped,
-    }
-}
-
-/// Runs `workload` under `scheme` on the paper's machine and returns the
-/// report. Uses the uninstrumented driver — aggregates only, no metric
-/// dump; [`crate::observe::observed_report`] (cargo feature `obs`) is
-/// the instrumented equivalent.
-#[must_use]
-pub fn report_for_run(workload: &Workload, scheme: Scheme, refs: u64) -> RunReport {
-    let started = Instant::now();
-    let result = run_workload(workload, scheme, refs);
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    build_report(
-        &result,
-        &MachineConfig::paper_default(),
-        workload.name,
-        refs,
-        wall_ms,
-        Metrics::new(),
-        0,
-        0,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use primecache_workloads::by_name;
-
-    #[test]
-    fn report_mirrors_the_run_result_bit_exactly() {
-        let w = by_name("tree").unwrap();
-        let report = report_for_run(w, Scheme::PrimeModulo, 10_000);
-        let rerun = run_workload(w, Scheme::PrimeModulo, 10_000);
-        assert_eq!(report.l2.misses, rerun.l2.misses);
-        assert_eq!(report.l2.accesses, rerun.l2.accesses);
-        assert_eq!(report.l1.hits, rerun.l1.hits);
-        assert_eq!(report.breakdown.busy, rerun.breakdown.busy);
-        assert_eq!(report.provenance.sim_cycles, rerun.breakdown.total());
-        assert_eq!(report.provenance.scheme, "pMod");
-    }
-
-    #[test]
-    fn report_json_round_trips_through_text() {
-        let w = by_name("swim").unwrap();
-        let report = report_for_run(w, Scheme::Base, 5_000);
-        let text = report.to_json().render_pretty();
-        let parsed = RunReport::from_json_str(&text).unwrap();
-        assert_eq!(parsed, report);
     }
 }

@@ -29,7 +29,6 @@ pub mod artifact;
 mod config;
 pub mod experiments;
 pub mod export;
-#[cfg(feature = "obs")]
 pub mod observe;
 pub mod oracle;
 pub mod report;
@@ -38,7 +37,7 @@ pub mod suite;
 pub mod tenants;
 pub mod throughput;
 
-pub use artifact::{build_report, report_for_run};
+pub use artifact::build_report;
 pub use config::{MachineConfig, Scheme};
 pub use oracle::{static_model, SimOracle, PROBE_BITS};
 pub use run::{

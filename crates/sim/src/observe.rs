@@ -1,14 +1,15 @@
-//! Instrumented run drivers (cargo feature `obs`).
+//! Observed runs.
 //!
 //! [`run_workload_observed`] is [`crate::run_workload`] with a
-//! `primecache_obs` recorder attached to every model: the hierarchy
-//! reports demand accesses, each cache its evictions, the DRAM its
-//! requests, and the CPU feeds the sim-time clock. On top of the hot
-//! counters, the harvested [`Metrics`] carry the per-cause stall
-//! attribution (the Fig. 8 stack, subdivided), the streaming-pipeline
-//! back-pressure counters, and the end-of-run L2 occupancy histogram.
+//! `primecache_obs` recorder attached to every model of the same
+//! monomorphized driver that sweeps use: the hierarchy reports demand
+//! accesses, each cache its evictions, the DRAM its requests, and the
+//! CPU feeds the sim-time clock. On top of the hot counters, the
+//! harvested [`Metrics`] carry the per-cause stall attribution (the
+//! Fig. 8 stack, subdivided), the streaming-pipeline back-pressure
+//! counters, and the end-of-run L2 occupancy histogram.
 //!
-//! [`run_workload_observed_replayed`] is the same instrumented run fed
+//! [`run_workload_observed_replayed`] is the same observed run fed
 //! from a recorded trace instead of a live generator: the workload is
 //! recorded once into a [`TraceStore`] and simulated from a replay
 //! cursor, with `trace_store.*` metrics describing the store and the
@@ -18,18 +19,16 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use primecache_cache::Hierarchy;
-use primecache_cpu::Cpu;
-use primecache_mem::Dram;
 use primecache_obs::{Histogram, Metrics, ObsConfig, Recorder, RunReport};
 use primecache_workloads::{EventChunks, TraceStore, Workload};
 
+use crate::run::{Drive, ObservedTail};
 use crate::{artifact, MachineConfig, RunResult, Scheme};
 
-/// Everything an instrumented run produces.
+/// Everything an observed run produces.
 #[derive(Debug)]
 pub struct ObservedRun {
-    /// The plain run result (identical to the uninstrumented driver's).
+    /// The plain run result (identical to an unobserved run's).
     pub result: RunResult,
     /// The recorder, holding exact counters and any buffered events.
     pub recorder: Recorder,
@@ -95,7 +94,7 @@ pub fn run_workload_observed_replayed(
 }
 
 /// Runs any [`EventChunks`] source with observability attached — the
-/// instrumented sibling of [`crate::run_chunks`]. This is the shared
+/// driver of [`crate::run_chunks`] with a recorder. This is the shared
 /// engine behind [`run_workload_observed`] and
 /// [`run_workload_observed_replayed`], and is public so imported traces
 /// ([`primecache_ingest`](https://docs.rs/primecache-ingest)'s cursors)
@@ -108,34 +107,24 @@ pub fn observe_chunks<S: EventChunks>(
     cfg: ObsConfig,
 ) -> ObservedRun {
     let machine = MachineConfig::paper_default();
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
     let handle = Recorder::handle(cfg);
-
-    let mut hierarchy = Hierarchy::new(machine.hierarchy_config(scheme));
-    hierarchy.attach_obs(handle.clone());
-    let mut dram = Dram::new(machine.mem);
-    dram.attach_obs(handle.clone());
-    let mut cpu = Cpu::new(machine.cpu);
-    cpu.attach_obs(handle.clone());
-
-    let breakdown = cpu.run(&mut source, &mut hierarchy, &mut dram);
-    let result = RunResult {
+    let (result, tail) = Drive {
+        events: &mut source,
+        warm_refs: None,
+        obs: Some(handle.clone()),
+        machine: &machine,
         scheme,
-        breakdown,
-        l1: hierarchy.l1_stats().clone(),
-        l2: hierarchy.l2_stats().clone(),
-        dram: *dram.stats(),
-    };
-
-    let stalls = cpu.last_stall_attribution();
+    }
+    .run();
+    let ObservedTail {
+        stalls,
+        l2_occupancy,
+    } = tail.expect("an observed run returns its tail");
+    let recorder = Rc::try_unwrap(handle)
+        .expect("the driver dropped its models")
+        .into_inner();
     let (chunks, blocked_waits) = source.chunk_stats();
     let (stream_depth, stream_chunk) = source.chunk_config();
-    let occupancy = hierarchy.l2_occupancy();
-    drop((hierarchy, dram, cpu, source));
-    let recorder = Rc::try_unwrap(handle)
-        .expect("all instrumented owners dropped")
-        .into_inner();
 
     let mut metrics = recorder.metrics();
     let cycles = |m: &mut Metrics, name: &str, help: &str, v: u64| {
@@ -202,7 +191,7 @@ pub fn observe_chunks<S: EventChunks>(
         stream_chunk as u64,
     );
     let mut hist = Histogram::new(vec![0, 1, 2, 3, 4, 6, 8]);
-    for n in occupancy {
+    for n in l2_occupancy {
         hist.observe(n);
     }
     metrics.set_histogram(
@@ -219,7 +208,7 @@ pub fn observe_chunks<S: EventChunks>(
     }
 }
 
-/// Runs an instrumented simulation and wraps it in a [`RunReport`]
+/// Runs an observed simulation and wraps it in a [`RunReport`]
 /// carrying the full metric dump; also returns the recorder so callers
 /// can drain traced events.
 #[must_use]
@@ -231,18 +220,7 @@ pub fn observed_report(
 ) -> (RunReport, Recorder) {
     let started = Instant::now();
     let run = run_workload_observed(workload, scheme, refs, cfg);
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let report = artifact::build_report(
-        &run.result,
-        &MachineConfig::paper_default(),
-        workload.name,
-        refs,
-        wall_ms,
-        run.metrics,
-        run.recorder.events_recorded(),
-        run.recorder.events_dropped(),
-    );
-    (report, run.recorder)
+    report_of(run, workload, refs, started)
 }
 
 /// [`observed_report`] on the record-then-replay path: the wall-clock
@@ -257,6 +235,16 @@ pub fn observed_report_replayed(
 ) -> (RunReport, Recorder) {
     let started = Instant::now();
     let run = run_workload_observed_replayed(workload, scheme, refs, cfg);
+    report_of(run, workload, refs, started)
+}
+
+/// Wraps a finished observed run, started at `started`, in its report.
+fn report_of(
+    run: ObservedRun,
+    workload: &Workload,
+    refs: u64,
+    started: Instant,
+) -> (RunReport, Recorder) {
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let report = artifact::build_report(
         &run.result,
@@ -366,6 +354,28 @@ mod tests {
             m.counter("stream.chunk_events"),
             live.metrics.counter("stream.chunk_events")
         );
+    }
+
+    #[test]
+    fn report_mirrors_the_run_result_bit_exactly() {
+        let w = by_name("tree").unwrap();
+        let (report, _) = observed_report(w, Scheme::PrimeModulo, 10_000, ObsConfig::default());
+        let rerun = run_workload(w, Scheme::PrimeModulo, 10_000);
+        assert_eq!(report.l2.misses, rerun.l2.misses);
+        assert_eq!(report.l2.accesses, rerun.l2.accesses);
+        assert_eq!(report.l1.hits, rerun.l1.hits);
+        assert_eq!(report.breakdown.busy, rerun.breakdown.busy);
+        assert_eq!(report.provenance.sim_cycles, rerun.breakdown.total());
+        assert_eq!(report.provenance.scheme, "pMod");
+    }
+
+    #[test]
+    fn report_json_round_trips_through_text() {
+        let w = by_name("swim").unwrap();
+        let (report, _) = observed_report(w, Scheme::Base, 5_000, ObsConfig::default());
+        let text = report.to_json().render_pretty();
+        let parsed = RunReport::from_json_str(&text).unwrap();
+        assert_eq!(parsed, report);
     }
 
     #[test]

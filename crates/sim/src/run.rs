@@ -10,6 +10,9 @@
 //! (replay cursors, generator streams, tenant mixes) do so inside their
 //! own `next`.
 //!
+//! Observed runs ([`crate::observe`]) use the same driver with a
+//! recorder attached to every model; sweeps attach none.
+//!
 //! The driver is bit-identical to the dynamically-dispatched reference
 //! path, kept as [`run_trace_reference`]; the `batched_equivalence`
 //! integration test proves it per workload and scheme (stats, writeback
@@ -22,8 +25,9 @@ use primecache_cache::{
 use primecache_core::index::{
     Geometry, HashKind, PrimeDisplacement, PrimeModulo, SkewDispBank, SkewXorBank, Traditional, Xor,
 };
-use primecache_cpu::{Cpu, ExecBreakdown};
+use primecache_cpu::{Cpu, ExecBreakdown, StallAttribution};
 use primecache_mem::{Dram, DramStats};
+use primecache_obs::ObsHandle;
 use primecache_trace::{EncodedTrace, Event, ReplayCursor};
 use primecache_workloads::{EventChunks, Workload};
 use serde::{Deserialize, Serialize};
@@ -53,16 +57,29 @@ impl RunResult {
     }
 }
 
+/// What an observed run needs beyond its [`RunResult`], read from the
+/// models before they drop.
+pub(crate) struct ObservedTail {
+    /// Per-cause stall attribution of the measured run.
+    pub(crate) stalls: StallAttribution,
+    /// End-of-run valid lines per L2 set ([`Hierarchy::l2_occupancy`]).
+    pub(crate) l2_occupancy: Vec<u64>,
+}
+
 /// One monomorphized run request; [`dispatch`] resolves the scheme's L2
 /// type once and calls [`DriverOp::exec`] with it.
 trait DriverOp {
-    fn exec<X: L2Sim>(self, hcfg: HierarchyConfig, l2: X) -> RunResult;
+    fn exec<X: L2Sim>(self, hcfg: HierarchyConfig, l2: X) -> (RunResult, Option<ObservedTail>);
 }
 
 /// Resolves `scheme` to a concrete L2 cache type and runs `op`
 /// monomorphized over it. This is the once-per-run dispatch that
 /// replaces per-reference `Box<dyn SetIndexer>` calls.
-fn dispatch<Op: DriverOp>(machine: &MachineConfig, scheme: Scheme, op: Op) -> RunResult {
+fn dispatch<Op: DriverOp>(
+    machine: &MachineConfig,
+    scheme: Scheme,
+    op: Op,
+) -> (RunResult, Option<ObservedTail>) {
     let hcfg = machine.hierarchy_config(scheme);
     match hcfg.l2 {
         L2Organization::SetAssoc(cfg) => {
@@ -99,18 +116,33 @@ fn dispatch<Op: DriverOp>(machine: &MachineConfig, scheme: Scheme, op: Op) -> Ru
     }
 }
 
-/// The one driver: an event source plus an optional warm-up boundary.
-struct Drive<'m, T> {
-    events: T,
+/// The one driver: an event source plus an optional warm-up boundary
+/// and an optional recorder.
+pub(crate) struct Drive<'m, T> {
+    pub(crate) events: T,
     /// Memory references that warm the caches before every statistic
     /// resets; `None` measures the whole source.
-    warm_refs: Option<u64>,
-    machine: &'m MachineConfig,
-    scheme: Scheme,
+    pub(crate) warm_refs: Option<u64>,
+    /// Recorder attached to the hierarchy, DRAM and CPU; `None` runs
+    /// unobserved.
+    pub(crate) obs: Option<ObsHandle>,
+    pub(crate) machine: &'m MachineConfig,
+    pub(crate) scheme: Scheme,
+}
+
+impl<T: IntoIterator<Item = Event>> Drive<'_, T> {
+    /// Checks the scheme (debug/`check` builds) and runs the source.
+    /// The [`ObservedTail`] is `Some` exactly when a recorder is
+    /// attached.
+    pub(crate) fn run(self) -> (RunResult, Option<ObservedTail>) {
+        #[cfg(any(debug_assertions, feature = "check"))]
+        self.machine.check_scheme(self.scheme);
+        dispatch(self.machine, self.scheme, self)
+    }
 }
 
 impl<T: IntoIterator<Item = Event>> DriverOp for Drive<'_, T> {
-    fn exec<X: L2Sim>(self, hcfg: HierarchyConfig, l2: X) -> RunResult {
+    fn exec<X: L2Sim>(self, hcfg: HierarchyConfig, l2: X) -> (RunResult, Option<ObservedTail>) {
         // `MachineConfig::hierarchy_config` always builds the paper's
         // L1, which indexes traditionally.
         debug_assert_eq!(hcfg.l1.hash(), HashKind::Traditional);
@@ -121,6 +153,11 @@ impl<T: IntoIterator<Item = Event>> DriverOp for Drive<'_, T> {
         let mut hierarchy = Hierarchy::with_parts(hcfg, l1, l2);
         let mut dram = Dram::new(self.machine.mem);
         let mut cpu = Cpu::new(self.machine.cpu);
+        if let Some(h) = &self.obs {
+            hierarchy.attach_obs(h.clone());
+            dram.attach_obs(h.clone());
+            cpu.attach_obs(h.clone());
+        }
         let mut events = self.events.into_iter();
 
         if let Some(warm_refs) = self.warm_refs {
@@ -146,36 +183,37 @@ impl<T: IntoIterator<Item = Event>> DriverOp for Drive<'_, T> {
         }
 
         let breakdown = cpu.run(events, &mut hierarchy, &mut dram);
-        RunResult {
+        let result = RunResult {
             scheme: self.scheme,
             breakdown,
             l1: hierarchy.l1_stats().clone(),
             l2: hierarchy.l2_stats().clone(),
             dram: *dram.stats(),
-        }
+        };
+        let tail = self.obs.is_some().then(|| ObservedTail {
+            stalls: cpu.last_stall_attribution(),
+            l2_occupancy: hierarchy.l2_occupancy(),
+        });
+        (result, tail)
     }
 }
 
-/// Checks `scheme` (debug/`check` builds) and runs `events` through the
-/// one monomorphized driver.
+/// Runs `events` unobserved through the one monomorphized driver.
 fn drive<T: IntoIterator<Item = Event>>(
     events: T,
     warm_refs: Option<u64>,
     scheme: Scheme,
     machine: &MachineConfig,
 ) -> RunResult {
-    #[cfg(any(debug_assertions, feature = "check"))]
-    machine.check_scheme(scheme);
-    dispatch(
+    Drive {
+        events,
+        warm_refs,
+        obs: None,
         machine,
         scheme,
-        Drive {
-            events,
-            warm_refs,
-            machine,
-            scheme,
-        },
-    )
+    }
+    .run()
+    .0
 }
 
 /// Runs an explicit event stream under a scheme on the paper's machine.

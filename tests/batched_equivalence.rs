@@ -20,7 +20,9 @@ use primecache::core::index::{
 };
 use primecache::obs::ObsConfig;
 use primecache::sim::observe::run_workload_observed;
-use primecache::sim::{run_trace_reference, run_workload, MachineConfig, Scheme};
+use primecache::sim::{
+    run_trace_reference, run_workload, run_workload_reference, MachineConfig, Scheme,
+};
 use primecache::workloads::all;
 
 /// References per workload for the full-suite sweep. Small enough that
@@ -172,16 +174,19 @@ fn writeback_sequences_identical_scalar_vs_batched() {
 
 #[test]
 fn obs_counters_match_batched_stats_on_every_scheme() {
-    // The instrumented driver runs the reference hierarchy; its recorder
-    // counters must equal the *batched* driver's stats — chaining the
-    // obs==reference invariant (obs_layer test) with batched==reference
-    // into obs==batched, per scheme.
+    // Observed runs go through the batched driver with a recorder
+    // attached. Attaching it must not perturb the run (observed ==
+    // unobserved batched), the observed run must still match the boxed
+    // reference driver, and the recorder's counters must equal the
+    // batched driver's stats, per scheme.
     let w = primecache::workloads::by_name("mcf").unwrap();
     for &scheme in &Scheme::ALL {
         let batched = run_workload(w, scheme, 10_000);
         let observed = run_workload_observed(w, scheme, 10_000, ObsConfig::default());
+        let reference = run_workload_reference(w, scheme, 10_000);
         let ctx = format!("mcf/{}", scheme.label());
         assert_results_equal(&batched, &observed.result, &ctx);
+        assert_results_equal(&observed.result, &reference, &format!("{ctx} vs reference"));
         let h = &observed.recorder.hot;
         assert_eq!(h.l1_accesses, batched.l1.accesses, "{ctx}");
         assert_eq!(h.l1_misses, batched.l1.misses, "{ctx}");
@@ -196,8 +201,9 @@ fn obs_counters_match_batched_stats_on_every_scheme() {
 fn config_fingerprints_unchanged_by_the_batched_drivers() {
     // The fingerprint hashes the machine and the hierarchy it *builds*,
     // not the driver that runs it: running batched must not perturb it,
-    // and the RunReport emitted from an instrumented (reference-path)
-    // run must carry the same hash a batched caller would record.
+    // and the RunReport emitted from an observed run (the batched driver
+    // with a recorder attached) must carry the same hash a plain batched
+    // caller would record.
     let machine = MachineConfig::paper_default();
     let w = primecache::workloads::by_name("tree").unwrap();
     for &scheme in &Scheme::ALL {

@@ -1,6 +1,6 @@
-//! Integration tests for the observability layer (PR 4).
+//! Integration tests for the observability layer.
 //!
-//! Exercises the `obs` feature through the umbrella crate exactly as an
+//! Exercises observed runs through the umbrella crate exactly as an
 //! external consumer would: the self-describing [`RunReport`] must
 //! survive a JSON round trip, and the recorder's hot counters must match
 //! the simulator's own `stats.rs` aggregates bit-exactly — observation

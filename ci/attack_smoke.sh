@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Smoke-runs the black-box attack engine: the full eight-scheme
 # differential oracle (recovered model vs static model, exit 1 on any
-# mismatch), the JSON report shape, one DSL scheme per recoverable
-# family, and the honest Opaque declaration. Runs in the debug-test job
-# on purpose — the probe oracles and the recovery verifier carry debug
-# assertions.
+# mismatch), the golden JSON reports, the JSON report shape, one DSL
+# scheme per recoverable family, and the honest Opaque declaration. Runs
+# in the debug-test job on purpose — the probe oracles and the recovery
+# verifier carry debug assertions.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,6 +12,12 @@ PCACHE="cargo run -q -p primecache-cli --bin pcache --"
 
 # All eight built-ins: recovery, differential verdict, eviction tiers.
 $PCACHE attack >/dev/null
+
+# The full reports match the golden files byte for byte (captured before
+# the probe oracle reused one cache per oracle; any drift in a probe
+# answer moves a probe count in them).
+$PCACHE attack --json | cmp - tests/data/attack_report_seed_default.json
+$PCACHE attack --json --seed 7 | cmp - tests/data/attack_report_seed7.json
 
 # Versioned JSON report.
 $PCACHE attack --scheme pMod --json | grep -q '"schema":"primecache.attack-report"'

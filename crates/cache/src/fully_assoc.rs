@@ -249,6 +249,37 @@ impl FullyAssociative {
         false
     }
 
+    /// Runs one probe trace of reads against a cold cache (freshly built,
+    /// or left by an earlier `cold_probe`) and returns its misses. The
+    /// cache is cold again afterwards: the trace filled at most
+    /// `blocks.len()` slots, and only those are restored.
+    pub fn cold_probe(&mut self, blocks: &[u64]) -> u64 {
+        debug_assert_eq!(self.stats.accesses, 0, "cold_probe needs a cold cache");
+        let misses = blocks
+            .iter()
+            .filter(|&&b| !self.access_block(b, false))
+            .count() as u64;
+        self.restore_cold();
+        misses
+    }
+
+    /// Puts back the just-built state of the occupied slots `0..live`
+    /// (block-map entries, ages, contents), the fill and age counters,
+    /// the scalar stats and the pending writebacks.
+    pub(crate) fn restore_cold(&mut self) {
+        for slot in 0..self.live {
+            self.slot_of.remove(&self.blocks[slot]);
+            self.blocks[slot] = 0;
+            self.dirty[slot] = false;
+            self.ages.set(slot, u64::MAX);
+        }
+        self.live = 0;
+        self.clock = 0;
+        self.stats.clear_set(0);
+        self.stats.clear_totals();
+        self.pending_writebacks.clear();
+    }
+
     /// Returns `true` if `addr`'s block is resident.
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {

@@ -231,6 +231,16 @@ impl DynL2 {
             } => DynL2::Fa(FullyAssociative::new(size_bytes, line_bytes)),
         }
     }
+
+    /// Runs one probe trace of reads against the cold L2 and leaves it
+    /// cold again (see [`Cache::cold_probe`]); returns the misses.
+    pub fn cold_probe(&mut self, blocks: &[u64]) -> u64 {
+        match self {
+            DynL2::Set(c) => c.cold_probe(blocks),
+            DynL2::Skewed(c) => c.cold_probe(blocks),
+            DynL2::Fa(c) => c.cold_probe(blocks),
+        }
+    }
 }
 
 impl L2Sim for DynL2 {

@@ -37,6 +37,8 @@
 //! assert!(l2.stats().hits > 0);
 //! ```
 
+#[cfg(test)]
+mod cold_probe_tests;
 mod config;
 mod fully_assoc;
 mod hierarchy;

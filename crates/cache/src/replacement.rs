@@ -286,6 +286,22 @@ impl ReplBank {
         }
     }
 
+    /// Puts `set` back in its just-built state; `kind` and `ways` are
+    /// the ones the bank was built with.
+    pub(crate) fn reset_set(&mut self, set: usize, kind: ReplacementKind, ways: u32) {
+        match self {
+            ReplBank::Lru {
+                stamps,
+                clocks,
+                assoc,
+            } => {
+                stamps[set * *assoc..(set + 1) * *assoc].fill(0);
+                clocks[set] = 0;
+            }
+            ReplBank::PerSet(replacers) => replacers[set] = Replacer::new(kind, ways),
+        }
+    }
+
     /// Picks the way to evict from `set`.
     #[inline]
     pub(crate) fn victim(&mut self, set: usize) -> usize {

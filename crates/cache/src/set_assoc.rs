@@ -211,6 +211,38 @@ impl<I: SetIndexer> Cache<I> {
         (set, self.access_block_in_set(set, block, write))
     }
 
+    /// Runs one probe trace of reads against a cold cache (freshly built,
+    /// or left by an earlier `cold_probe`) and returns its misses. The
+    /// cache is cold again afterwards: only the sets `blocks` index were
+    /// touched, so only they are restored — the probe costs
+    /// `O(blocks × assoc)`, not `O(cache size)`.
+    pub fn cold_probe(&mut self, blocks: &[u64]) -> u64 {
+        debug_assert_eq!(self.stats.accesses, 0, "cold_probe needs a cold cache");
+        let misses = blocks
+            .iter()
+            .filter(|&&b| !self.access_block(b, false))
+            .count() as u64;
+        self.restore_cold(blocks);
+        misses
+    }
+
+    /// Puts back the just-built state of every set `blocks` index, the
+    /// scalar stats and the pending writebacks. The whole cache is as
+    /// built when every access since it was last cold went to `blocks`.
+    pub(crate) fn restore_cold(&mut self, blocks: &[u64]) {
+        let (kind, ways) = (self.config.replacement(), self.config.assoc());
+        for &block in blocks {
+            let set = self.narrow_set(self.indexer.index(block));
+            let lines = set * self.assoc..(set + 1) * self.assoc;
+            self.tags[lines.clone()].fill(0);
+            self.flags[lines].fill(0);
+            self.repl.reset_set(set, kind, ways);
+            self.stats.clear_set(set);
+        }
+        self.stats.clear_totals();
+        self.pending_writebacks.clear();
+    }
+
     /// The access hot path, with `set` already computed from `block`.
     ///
     /// One fused scan over the ways finds both the hit way and the

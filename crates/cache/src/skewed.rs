@@ -275,6 +275,41 @@ impl<B: SetIndexer> SkewedCache<B> {
         self.access_block_indexed(addr >> self.line_shift, write)
     }
 
+    /// Runs one probe trace of reads against a cold cache (freshly built,
+    /// or left by an earlier `cold_probe`) and returns its misses. The
+    /// cache is cold again afterwards: only the candidate sets of
+    /// `blocks` were touched, so only they are restored.
+    pub fn cold_probe(&mut self, blocks: &[u64]) -> u64 {
+        debug_assert_eq!(self.stats.accesses, 0, "cold_probe needs a cold cache");
+        let misses = blocks
+            .iter()
+            .filter(|&&b| !self.access_block(b, false))
+            .count() as u64;
+        self.restore_cold(blocks);
+        misses
+    }
+
+    /// Puts back the just-built state of every bank's candidate set of
+    /// each of `blocks`, the round-robin counter, the scalar stats and
+    /// the pending writebacks. The whole cache is as built when every
+    /// access since it was last cold went to `blocks`.
+    pub(crate) fn restore_cold(&mut self, blocks: &[u64]) {
+        for &block in blocks {
+            for (b, ix) in self.indexers.iter().enumerate() {
+                let set = self.narrow_set(ix.index(block));
+                if b == 0 {
+                    self.stats.clear_set(set);
+                }
+                let base = self.slot(b, set);
+                self.tags[base..base + self.ways].fill(0);
+                self.flags[base..base + self.ways].fill(0);
+            }
+        }
+        self.rr = 0;
+        self.stats.clear_totals();
+        self.pending_writebacks.clear();
+    }
+
     /// The probe/fill path over an already-collected candidate list.
     fn access_at_candidates(
         &mut self,

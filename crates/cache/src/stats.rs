@@ -132,6 +132,22 @@ impl CacheStats {
         let n = self.set_accesses.len();
         *self = CacheStats::new(n);
     }
+
+    /// Zeroes one set's histogram entries (the per-set half of a
+    /// cold-probe restore; the caller visits every set it touched).
+    pub(crate) fn clear_set(&mut self, set: usize) {
+        self.set_accesses[set] = 0;
+        self.set_misses[set] = 0;
+    }
+
+    /// Zeroes the scalar counters, leaving the histograms alone.
+    pub(crate) fn clear_totals(&mut self) {
+        self.accesses = 0;
+        self.hits = 0;
+        self.misses = 0;
+        self.writes = 0;
+        self.writebacks = 0;
+    }
 }
 
 #[cfg(test)]

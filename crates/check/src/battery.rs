@@ -29,6 +29,7 @@ use primecache_core::index::{
     SkewXorBank, XorFolded, SKEW_DISP_FACTORS,
 };
 use primecache_mem::{Dram, MemConfig};
+use primecache_sim::{MachineConfig, Scheme, SimOracle, PROBE_BITS};
 
 /// Accesses per cache/DRAM stream case (the shrinkable unit of replay).
 const STREAM_LEN: usize = 256;
@@ -1172,6 +1173,136 @@ fn attack_units(cfg: &BatteryConfig) -> Vec<UnitReport> {
     out
 }
 
+/// A naive model of one probe oracle's cache, built fresh per probe.
+enum NaiveProbe {
+    Set(OracleCache),
+    Skewed(OracleSkewed),
+}
+
+impl NaiveProbe {
+    /// The naive model of `scheme`'s probe cache on the paper machine
+    /// (512 KB L2 of 64-B lines, 2048 4-way sets), in the direct (1-way)
+    /// or native shape. `Expr` stands for the `attack/oracle-reuse`
+    /// unit's DSL scheme, `a % 1021`.
+    fn paper(scheme: Scheme, direct: bool) -> Self {
+        const SETS: u64 = 2048;
+        let set_assoc = |n_set: u64, assoc: usize, index: fn(u64) -> u64| {
+            let assoc = if direct { 1 } else { assoc };
+            NaiveProbe::Set(OracleCache::new(
+                n_set as usize,
+                assoc,
+                OraclePolicy::Lru,
+                index,
+            ))
+        };
+        let skewed = |bank_index: fn(u64, u32) -> u64| {
+            let banks = (0..4u32)
+                .map(|bank| Box::new(move |b| bank_index(b, bank)) as Box<dyn Fn(u64) -> u64>)
+                .collect();
+            NaiveProbe::Skewed(OracleSkewed::new(SETS as usize, 1, false, banks))
+        };
+        match scheme {
+            Scheme::Base => set_assoc(SETS, 4, |b| ref_traditional(b, SETS)),
+            Scheme::EightWay => set_assoc(SETS / 2, 8, |b| ref_traditional(b, SETS / 2)),
+            Scheme::Xor => set_assoc(SETS, 4, |b| ref_xor(b, SETS)),
+            Scheme::PrimeModulo => set_assoc(SETS, 4, |b| ref_prime_modulo(b, 2039)),
+            Scheme::PrimeDisplacement => set_assoc(SETS, 4, |b| ref_prime_displacement(b, SETS, 9)),
+            Scheme::Expr(_) => set_assoc(SETS, 4, |b| ref_prime_modulo(b, 1021)),
+            Scheme::Skewed => skewed(|b, bank| ref_skew_xor(b, SETS, bank)),
+            Scheme::SkewedPrimeDisplacement => {
+                skewed(|b, bank| ref_prime_displacement(b, SETS, SKEW_DISP_FACTORS[bank as usize]))
+            }
+            // One set of every line, or of one line when probing for
+            // structure.
+            Scheme::FullyAssociative => {
+                let lines = if direct { 1 } else { 8192 };
+                NaiveProbe::Set(OracleCache::new(1, lines, OraclePolicy::Lru, |_| 0))
+            }
+        }
+    }
+
+    /// Misses of one probe trace of reads.
+    fn misses(mut self, blocks: &[u64]) -> u64 {
+        blocks
+            .iter()
+            .filter(|&&b| match &mut self {
+                NaiveProbe::Set(c) => !c.access_block(b, false).hit,
+                NaiveProbe::Skewed(c) => !c.access_block(b, false).hit,
+            })
+            .count() as u64
+    }
+}
+
+/// `attack/oracle-reuse`: one [`SimOracle`] per scheme and shape (direct
+/// and native, all 8 built-ins plus a DSL `expr:` scheme), reused across
+/// a random probe sequence, must answer every probe exactly as a naive
+/// model built fresh for that probe does. The oracle restores only the
+/// sets a probe touched; the naive models, never reused, are what that
+/// restore is checked against.
+fn oracle_reuse_unit(cfg: &BatteryConfig) -> UnitReport {
+    use primecache_core::expr::register_anonymous;
+    use primecache_core::probe::ProbeOracle;
+
+    // 8 probes of 1-16 refs against 18 oracles: ~1200 probed refs a case.
+    const CASE_WEIGHT: usize = 1024;
+    const SETS: u64 = 2048;
+    let expr = register_anonymous("a % 1021").expect("DSL scheme compiles");
+    let schemes: Vec<Scheme> = Scheme::ALL
+        .into_iter()
+        .chain([Scheme::Expr(expr)])
+        .collect();
+    let mask = (1u64 << PROBE_BITS) - 1;
+    run_unit(
+        cfg,
+        "attack/oracle-reuse",
+        cfg.addrs_per_unit.div_ceil(CASE_WEIGHT),
+        CASE_WEIGHT,
+        // A pool of 12 blocks on one conflict-prone stride, so probes
+        // share sets (and blocks) with the probes before them.
+        move |rng| {
+            let strides = [1, 1021, 1024, 2039, SETS, SETS + 1, 2 * SETS, 2039 * SETS];
+            let stride = if rng.range_u32(0, 4) == 0 {
+                rng.next_u64() & mask
+            } else {
+                strides[rng.range_usize(0, strides.len())]
+            };
+            let base = rng.next_u64() & mask;
+            let pool: Vec<u64> = (0..12u64)
+                .map(|k| base.wrapping_add(k.wrapping_mul(stride)) & mask)
+                .collect();
+            (0..8)
+                .map(|_| {
+                    let len = rng.range_usize(1, 17);
+                    (0..len)
+                        .map(|_| pool[rng.range_usize(0, pool.len())])
+                        .collect::<Vec<u64>>()
+                })
+                .collect::<Vec<_>>()
+        },
+        move |probes: &Vec<Vec<u64>>| {
+            let machine = MachineConfig::paper_default();
+            for &scheme in &schemes {
+                for direct in [true, false] {
+                    let mut oracle = if direct {
+                        SimOracle::direct(&machine, scheme, PROBE_BITS)
+                    } else {
+                        SimOracle::native(&machine, scheme, PROBE_BITS)
+                    };
+                    for (i, probe) in probes.iter().enumerate() {
+                        assert_eq!(
+                            oracle.misses(probe),
+                            NaiveProbe::paper(scheme, direct).misses(probe),
+                            "{} ({}), probe {i} of the sequence",
+                            scheme.label(),
+                            if direct { "direct" } else { "native" }
+                        );
+                    }
+                }
+            }
+        },
+    )
+}
+
 /// Runs every differential unit and returns one report per unit.
 #[must_use]
 pub fn run_battery(cfg: &BatteryConfig) -> Vec<UnitReport> {
@@ -1186,6 +1317,7 @@ pub fn run_battery(cfg: &BatteryConfig) -> Vec<UnitReport> {
     out.extend(ingest_units(cfg));
     out.extend(dram_units(cfg));
     out.extend(attack_units(cfg));
+    out.push(oracle_reuse_unit(cfg));
     out
 }
 
@@ -1273,6 +1405,7 @@ mod tests {
             "codec/zigzag",
             "codec/event-roundtrip",
             "mem/dram",
+            "attack/oracle-reuse",
         ] {
             assert!(
                 names.iter().any(|n| n == prefix),

@@ -211,14 +211,17 @@ struct SkewLine {
     w: bool,
 }
 
-/// A plain-structured skewed-associative cache: banks are separate
-/// two-dimensional grids of `Option<line>` rather than one flat slab, and
+/// A plain-structured skewed-associative cache: lines live in a map keyed
+/// by `(bank, set, way)` rather than one flat slab (an absent key is an
+/// invalid way, so building the model costs nothing per line), and
 /// the inter-bank ENRU/NRUNRW policy is restated from its §5.3 description
 /// (invalid first, then the least-privileged usage class, round-robin
 /// among ties, with aging once every candidate is referenced).
 pub struct OracleSkewed {
-    /// `banks[b][set][way]`.
-    banks: Vec<Vec<Vec<Option<SkewLine>>>>,
+    /// Valid lines by `(bank, set, way)`.
+    lines: HashMap<(usize, usize, usize), SkewLine>,
+    sets_per_bank: usize,
+    ways: usize,
     index_fns: Vec<Box<dyn Fn(u64) -> u64>>,
     /// `true` = NRUNRW (r and w bits), `false` = ENRU (r bit only).
     write_aware: bool,
@@ -237,7 +240,9 @@ impl OracleSkewed {
     ) -> Self {
         assert!(!index_fns.is_empty() && sets_per_bank > 0 && ways > 0);
         Self {
-            banks: vec![vec![vec![None; ways]; sets_per_bank]; index_fns.len()],
+            lines: HashMap::new(),
+            sets_per_bank,
+            ways,
             index_fns,
             write_aware,
             rr: 0,
@@ -255,19 +260,19 @@ impl OracleSkewed {
     /// The candidate (bank, set, way) coordinates of a block, in the same
     /// bank-major order the production cache scans.
     fn candidates(&self, block: u64) -> Vec<(usize, usize, usize)> {
-        let ways = self.banks[0][0].len();
         let mut out = Vec::new();
         for (b, index) in self.index_fns.iter().enumerate() {
             let set = index(block) as usize;
-            for way in 0..ways {
+            assert!(set < self.sets_per_bank, "bank {b} set {set} out of range");
+            for way in 0..self.ways {
                 out.push((b, set, way));
             }
         }
         out
     }
 
-    fn line(&self, c: (usize, usize, usize)) -> &Option<SkewLine> {
-        &self.banks[c.0][c.1][c.2]
+    fn line(&self, c: (usize, usize, usize)) -> Option<SkewLine> {
+        self.lines.get(&c).copied()
     }
 
     /// Clears usage bits of every candidate except `keep` once all valid
@@ -275,9 +280,9 @@ impl OracleSkewed {
     fn age(&mut self, cands: &[(usize, usize, usize)], keep: usize) {
         let saturated = cands.iter().all(|&c| self.line(c).is_none_or(|l| l.r));
         if saturated {
-            for (i, &(b, s, w)) in cands.iter().enumerate() {
+            for (i, c) in cands.iter().enumerate() {
                 if i != keep {
-                    if let Some(l) = &mut self.banks[b][s][w] {
+                    if let Some(l) = self.lines.get_mut(c) {
                         l.r = false;
                         l.w = false;
                     }
@@ -289,8 +294,8 @@ impl OracleSkewed {
     /// Simulates one access to a block address.
     pub fn access_block(&mut self, block: u64, write: bool) -> OracleAccess {
         let cands = self.candidates(block);
-        for (i, &(b, s, w)) in cands.iter().enumerate() {
-            if let Some(l) = &mut self.banks[b][s][w] {
+        for (i, c) in cands.iter().enumerate() {
+            if let Some(l) = self.lines.get_mut(c) {
                 if l.block == block {
                     l.r = true;
                     l.w |= write;
@@ -320,14 +325,19 @@ impl OracleSkewed {
                     .expect("best class present")
             }
         };
-        let (b, s, w) = cands[victim_i];
-        let writeback = self.banks[b][s][w].filter(|l| l.dirty).map(|l| l.block);
-        self.banks[b][s][w] = Some(SkewLine {
-            block,
-            dirty: write,
-            r: true,
-            w: write,
-        });
+        let writeback = self
+            .line(cands[victim_i])
+            .filter(|l| l.dirty)
+            .map(|l| l.block);
+        self.lines.insert(
+            cands[victim_i],
+            SkewLine {
+                block,
+                dirty: write,
+                r: true,
+                w: write,
+            },
+        );
         self.age(&cands, victim_i);
         OracleAccess {
             hit: false,

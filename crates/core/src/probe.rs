@@ -64,7 +64,10 @@ impl std::ops::Add for ProbeCost {
 /// carried from one probe to the next (the attacker can always achieve
 /// this by flushing with junk accesses; charging for it would scale
 /// every scheme's cost by the same constant, so the models leave it
-/// out).
+/// out). An implementation may reuse its cache storage from probe to
+/// probe, provided it restores it to cold before the next one — the
+/// simulator-backed oracle keeps one cache and restores the sets each
+/// probe touched.
 pub trait ProbeOracle {
     /// Address bits of the probing window: probes use block addresses
     /// below `2^in_bits()`.

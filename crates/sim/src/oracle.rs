@@ -2,10 +2,13 @@
 //! and the real cache models.
 //!
 //! [`SimOracle`] implements [`ProbeOracle`] by replaying each crafted
-//! block trace against a *fresh* cache built from the scheme's real L2
+//! block trace against a cache built from the scheme's real L2
 //! organization and counting misses — exactly the observable the attack
 //! engine is allowed (cold-cache per probe is the attack's contract; see
-//! `primecache_core::probe`). Two shapes are offered:
+//! `primecache_core::probe`). Each oracle builds its cache once and
+//! restores the sets a probe touched to cold after every probe, so a
+//! probe costs its references, not a cache build. Two shapes are
+//! offered:
 //!
 //! * [`SimOracle::direct`] — the scheme's index function in a
 //!   direct-mapped probe cache (associativity 1, same set count, same
@@ -22,10 +25,7 @@
 //! skewed organizations (no single index function exists to model).
 
 use primecache_analyze::{model_of, IndexModel};
-use primecache_cache::{
-    Cache, CacheConfig, FullyAssociative, L2Organization, ReplacementKind, SkewedCache,
-    SkewedConfig,
-};
+use primecache_cache::{CacheConfig, DynL2, L2Organization, ReplacementKind};
 use primecache_core::index::Geometry;
 use primecache_core::probe::{ProbeCost, ProbeOracle};
 
@@ -35,15 +35,11 @@ use crate::config::{MachineConfig, Scheme};
 /// paper machine's 4 GB physical address space is 2^26 blocks of 64 B.
 pub const PROBE_BITS: u32 = 26;
 
-enum Backend {
-    SetAssoc(CacheConfig),
-    Skewed(SkewedConfig),
-    Fully { size_bytes: u64, line_bytes: u64 },
-}
-
 /// A [`ProbeOracle`] that answers by simulating the scheme's L2.
 pub struct SimOracle {
-    backend: Backend,
+    org: L2Organization,
+    /// Built once from `org`; cold between probes.
+    cache: DynL2,
     in_bits: u32,
     cost: ProbeCost,
 }
@@ -54,41 +50,34 @@ impl SimOracle {
     /// special cases).
     #[must_use]
     pub fn direct(machine: &MachineConfig, scheme: Scheme, in_bits: u32) -> Self {
-        let backend = match machine.l2_organization(scheme) {
-            L2Organization::SetAssoc(c) => Backend::SetAssoc(
+        let org = match machine.l2_organization(scheme) {
+            L2Organization::SetAssoc(c) => L2Organization::SetAssoc(
                 CacheConfig::new(c.n_set_phys() * c.line_bytes(), 1, c.line_bytes())
                     .with_hash(c.hash())
                     .with_replacement(ReplacementKind::Lru),
             ),
-            L2Organization::Skewed(c) => Backend::Skewed(c),
-            L2Organization::FullyAssociative { line_bytes, .. } => Backend::Fully {
-                size_bytes: line_bytes,
-                line_bytes,
-            },
+            L2Organization::FullyAssociative { line_bytes, .. } => {
+                L2Organization::FullyAssociative {
+                    size_bytes: line_bytes,
+                    line_bytes,
+                }
+            }
+            skewed @ L2Organization::Skewed(_) => skewed,
         };
-        Self {
-            backend,
-            in_bits,
-            cost: ProbeCost::default(),
-        }
+        Self::over(org, in_bits)
     }
 
     /// The eviction-cost shape: the scheme's real L2 organization.
     #[must_use]
     pub fn native(machine: &MachineConfig, scheme: Scheme, in_bits: u32) -> Self {
-        let backend = match machine.l2_organization(scheme) {
-            L2Organization::SetAssoc(c) => Backend::SetAssoc(c),
-            L2Organization::Skewed(c) => Backend::Skewed(c),
-            L2Organization::FullyAssociative {
-                size_bytes,
-                line_bytes,
-            } => Backend::Fully {
-                size_bytes,
-                line_bytes,
-            },
-        };
+        Self::over(machine.l2_organization(scheme), in_bits)
+    }
+
+    /// An oracle over `org`, building its one probe cache here.
+    fn over(org: L2Organization, in_bits: u32) -> Self {
         Self {
-            backend,
+            org,
+            cache: DynL2::build(org),
             in_bits,
             cost: ProbeCost::default(),
         }
@@ -101,18 +90,18 @@ impl ProbeOracle for SimOracle {
     }
 
     fn n_set_phys(&self) -> u64 {
-        match &self.backend {
-            Backend::SetAssoc(c) => c.n_set_phys(),
-            Backend::Skewed(c) => c.sets_per_bank(),
-            Backend::Fully { .. } => 1,
+        match &self.org {
+            L2Organization::SetAssoc(c) => c.n_set_phys(),
+            L2Organization::Skewed(c) => c.sets_per_bank(),
+            L2Organization::FullyAssociative { .. } => 1,
         }
     }
 
     fn assoc(&self) -> u32 {
-        match &self.backend {
-            Backend::SetAssoc(c) => c.assoc(),
-            Backend::Skewed(c) => c.banks() * c.ways_per_bank(),
-            Backend::Fully {
+        match &self.org {
+            L2Organization::SetAssoc(c) => c.assoc(),
+            L2Organization::Skewed(c) => c.banks() * c.ways_per_bank(),
+            L2Organization::FullyAssociative {
                 size_bytes,
                 line_bytes,
             } => u32::try_from(size_bytes / line_bytes).expect("L2 capacity fits u32"),
@@ -122,26 +111,7 @@ impl ProbeOracle for SimOracle {
     fn misses(&mut self, blocks: &[u64]) -> u64 {
         self.cost.probes += 1;
         self.cost.refs += blocks.len() as u64;
-        let cold_misses = |hits: &mut dyn FnMut(u64) -> bool| -> u64 {
-            blocks.iter().filter(|&&b| !hits(b)).count() as u64
-        };
-        match &self.backend {
-            Backend::SetAssoc(config) => {
-                let mut cache = Cache::new(*config);
-                cold_misses(&mut |b| cache.access_block(b, false))
-            }
-            Backend::Skewed(config) => {
-                let mut cache = SkewedCache::new(*config);
-                cold_misses(&mut |b| cache.access_block(b, false))
-            }
-            Backend::Fully {
-                size_bytes,
-                line_bytes,
-            } => {
-                let mut cache = FullyAssociative::new(*size_bytes, *line_bytes);
-                cold_misses(&mut |b| cache.access_block(b, false))
-            }
-        }
+        self.cache.cold_probe(blocks)
     }
 
     fn cost(&self) -> ProbeCost {

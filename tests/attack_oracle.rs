@@ -6,7 +6,9 @@
 //! `canonicalize(recovered) == canonicalize(static)` — for every
 //! built-in scheme and a corpus of DSL `expr:` schemes, pins the honest
 //! Opaque verdicts (skewed organizations, non-algebraic expressions),
-//! and checks the versioned attack-report JSON.
+//! checks the versioned attack-report JSON, and pins the full eight-scheme
+//! report byte for byte against `pcache attack --json` output captured
+//! in `tests/data/` before the probe oracle reused its caches.
 
 use primecache::analyze::canonicalize;
 use primecache::attack::{
@@ -160,4 +162,64 @@ fn attack_report_json_is_versioned_and_well_formed() {
     };
     assert!(depth_ok('{', '}'));
     assert!(depth_ok('[', ']'));
+}
+
+/// One scheme's report entry exactly as `pcache attack --seed S` builds
+/// it: both the recovery sampler and the random eviction pool on `seed`.
+fn attack_entry(machine: &MachineConfig, scheme: Scheme, seed: u64) -> AttackEntry {
+    let mut direct = SimOracle::direct(machine, scheme, PROBE_BITS);
+    let recovery = recover(
+        &mut direct,
+        &RecoveryConfig {
+            seed,
+            ..RecoveryConfig::default()
+        },
+    );
+    let statik = static_model(machine, scheme, PROBE_BITS);
+    let agrees_static = recovery.verdict.matches_static(statik.as_ref());
+    let informed = match &recovery.verdict {
+        Verdict::Model(m) => Some(m.clone()),
+        Verdict::Opaque { .. } => None,
+    };
+    let mut native = SimOracle::native(machine, scheme, PROBE_BITS);
+    let eviction = eviction_cost(
+        &mut native,
+        informed.as_ref(),
+        recovery.cost,
+        &EvictConfig {
+            seed,
+            ..EvictConfig::default()
+        },
+    );
+    AttackEntry {
+        scheme: scheme.label().to_owned(),
+        recovery,
+        agrees_static,
+        static_canonical: statik.as_ref().map(canonicalize),
+        eviction,
+    }
+}
+
+#[test]
+fn attack_reports_match_the_golden_files_byte_for_byte() {
+    let machine = MachineConfig::paper_default();
+    // `pcache attack`'s default seed, and `--seed 7`.
+    for (seed, golden) in [
+        (0x5EED, include_str!("data/attack_report_seed_default.json")),
+        (7, include_str!("data/attack_report_seed7.json")),
+    ] {
+        let entries: Vec<AttackEntry> = Scheme::ALL
+            .iter()
+            .map(|&s| attack_entry(&machine, s, seed))
+            .collect();
+        let json = attack_report_json(&entries) + "\n";
+        let first_diff = json.bytes().zip(golden.bytes()).position(|(a, b)| a != b);
+        assert!(
+            json == golden,
+            "seed {seed}: the attack report drifted from its golden file \
+             (first differing byte: {first_diff:?}; lengths {} vs {})",
+            json.len(),
+            golden.len()
+        );
+    }
 }
